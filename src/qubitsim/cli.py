@@ -9,10 +9,10 @@ identical flags produce byte-identical artifacts.
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,19 +28,20 @@ from .interference import PhotonState, SlitGeometry, quantum_intensity
 from .protocols import (
     MESSAGES,
     RamseyConfig,
-    damp_first_qubit_coherence,
+    _superdense_probabilities,
     figure_of_merit,
     rabi_with_dephasing,
     ramsey_scan,
     superdense_channel_sweep,
-    superdense_decode,
-    superdense_encode,
-    superdense_success_probability,
 )
-from .qstate import DensityMatrix, density_from_ket
+from .qstate import NORM_ATOL, DensityMatrix
 
 # One channel use in single-shot superdense mode lasts one time unit.
 _SINGLE_SHOT_TIME = 1.0
+
+# Amplitudes typed with a few digits cannot meet the library's NORM_ATOL;
+# the CLI accepts |a^2 + b^2 - 1| up to this and rescales them to unit norm.
+_INPUT_NORM_ATOL = 1e-6
 
 
 def _fmt(value) -> str:
@@ -109,31 +110,23 @@ def emit_json(document, destination=None):
     _deliver(_render_json(document), destination)
 
 
-def _map_chunks(worker, grid: np.ndarray, jobs: int, axis: int = 0) -> np.ndarray:
-    """Evaluate worker over grid chunks, merged back in grid order."""
-    if jobs <= 1 or grid.size < 2:
-        return worker(grid)
-    chunks = np.array_split(grid, min(jobs, grid.size))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(worker, chunks))
-    return np.concatenate(parts, axis=axis)
-
-
 def _columns_json(columns):
     return {name: _floats(values) for name, values in columns}
 
 
 def _handle_interference(args):
     geom = SlitGeometry(args.k, args.slit_spacing, args.screen_distance)
-    state = PhotonState(args.a, args.b, args.phi)
+    a, b = args.a, args.b
+    if NORM_ATOL < abs(a**2 + b**2 - 1.0) <= _INPUT_NORM_ATOL:
+        norm = math.hypot(a, b)
+        a, b = a / norm, b / norm
+    state = PhotonState(a, b, args.phi)
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
     if not args.x_max > args.x_min:
         raise DomainError("--x-max must exceed --x-min")
     x = np.linspace(args.x_min, args.x_max, args.points)
-    intensity = _map_chunks(
-        lambda xs: quantum_intensity(state, geom.phase_difference(xs)), x, args.jobs
-    )
+    intensity = quantum_intensity(state, geom.phase_difference(x))
     params = {
         "k": args.k,
         "slit_spacing": args.slit_spacing,
@@ -146,7 +139,7 @@ def _handle_interference(args):
         "points": args.points,
     }
     columns = [("x", x), ("intensity", intensity)]
-    return params, columns, _columns_json(columns)
+    return params, columns, lambda: _columns_json(columns)
 
 
 def _handle_ramsey(args):
@@ -164,7 +157,7 @@ def _handle_ramsey(args):
         "dephasing_rate": args.dephasing_rate,
     }
     columns = _series_columns(series)
-    return params, columns, _columns_json(columns)
+    return params, columns, lambda: _columns_json(columns)
 
 
 def _handle_dephasing(args):
@@ -185,7 +178,7 @@ def _handle_dephasing(args):
         "p_e_init": args.p_e_init,
     }
     columns = _series_columns(series)
-    return params, columns, _columns_json(columns)
+    return params, columns, lambda: _columns_json(columns)
 
 
 def _handle_rabi(args):
@@ -199,9 +192,7 @@ def _handle_rabi(args):
         "dt": args.dt,
     }
     columns = _series_columns(series)
-    data = _columns_json(columns)
-    data["figure_of_merit"] = float(merit)
-    return params, columns, data
+    return params, columns, lambda: {**_columns_json(columns), "figure_of_merit": float(merit)}
 
 
 def _handle_superdense(args):
@@ -209,34 +200,15 @@ def _handle_superdense(args):
         raise DomainError("--t-max and --points must be given together")
     params = {"message": args.message, "delta": args.delta}
     if args.t_max is None:
-        encoded = density_from_ket(superdense_encode(args.message))
-        damped = damp_first_qubit_coherence(
-            encoded, float(np.exp(-2.0 * args.delta * _SINGLE_SHOT_TIME))
-        )
-        decoded, probs = superdense_decode(damped)
+        probs = _superdense_probabilities(args.message, args.delta, [_SINGLE_SHOT_TIME])[0]
+        decoded = MESSAGES[int(np.argmax(probs))]
         params["transmission_time"] = _SINGLE_SHOT_TIME
         columns = [("outcome", list(MESSAGES)), ("probability", probs)]
-        data = {"probabilities": _floats(probs), "decoded": decoded}
-        return params, columns, data
-    sweep_times = np.linspace(0.0, args.t_max, args.points)
-
-    def worker(ts):
-        return np.array(
-            [[superdense_success_probability(m, args.delta, t) for t in ts] for m in MESSAGES]
-        )
-
-    if args.jobs > 1:
-        success = _map_chunks(worker, sweep_times, args.jobs, axis=1)
-        times = sweep_times
-    else:
-        sweep = superdense_channel_sweep(args.delta, args.t_max, args.points)
-        times = sweep.times
-        success = np.array([sweep.success[m] for m in MESSAGES])
+        return params, columns, lambda: {"probabilities": _floats(probs), "decoded": decoded}
+    sweep = superdense_channel_sweep(args.delta, args.t_max, args.points)
     params.update({"t_max": args.t_max, "points": args.points})
-    columns = [("t", times)] + [
-        (f"success_{m}", success[i]) for i, m in enumerate(MESSAGES)
-    ]
-    return params, columns, _columns_json(columns)
+    columns = [("t", sweep.times)] + [(f"success_{m}", sweep.success[m]) for m in MESSAGES]
+    return params, columns, lambda: _columns_json(columns)
 
 
 _HANDLERS = {
@@ -255,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, metavar="PATH",
                         help="output file (default: stdout); written atomically")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for sweep grids (default: 1)")
+                        help="accepted for compatibility; has no effect")
 
     parser = argparse.ArgumentParser(
         prog="qubitsim",
@@ -318,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     """Execute one parsed subcommand and deliver its artifact."""
-    params, columns, data = _HANDLERS[args.command](args)
+    # Handlers return a function that builds the JSON data, so CSV runs skip it.
+    params, columns, json_data = _HANDLERS[args.command](args)
     if args.format == "csv":
         _deliver(_render_csv(columns), args.output)
     else:
@@ -328,7 +301,7 @@ def run(args) -> int:
                 "parameters": params,
                 "version": __version__,
             },
-            "data": data,
+            "data": json_data(),
         }
         emit_json(document, args.output)
     return 0

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, InvalidStateError
-
-_NORM_ATOL = 1e-12
+from .qstate import NORM_ATOL
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class PhotonState:
         if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
             raise InvalidStateError(f"amplitudes must lie in [0, 1], got a={self.a}, b={self.b}")
         norm_sq = self.a**2 + self.b**2
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
+        if abs(norm_sq - 1.0) > NORM_ATOL:
             raise InvalidStateError(f"path amplitudes are not normalized: a^2 + b^2 = {norm_sq!r}")
         if not np.isfinite(self.phi):
             raise InvalidStateError("relative phase must be finite")

@@ -230,16 +230,31 @@ class SuperdenseSweep:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
 
 
-def superdense_success_probability(message: str, delta: float, t: float) -> float:
-    """Probability that the message survives dephasing of the sender's qubit for time t."""
-    message = _validate_message(message)
+def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
+    """Decode probabilities, one row per channel duration in times, in MESSAGES order.
+
+    Decoding is linear in rho and the channel scales the sender-side
+    coherences by f = e^{-2 delta t}, so every row is p(0) + f (p(1) - p(0)),
+    with p(f) the decode of the encoded state damped by f.
+    """
     if not (np.isfinite(delta) and delta >= 0):
         raise DomainError(f"dephasing rate must be non-negative, got {delta}")
-    if t < 0:
-        raise DomainError(f"channel duration must be non-negative, got {t}")
+    times = np.asarray(times, dtype=float)
+    valid = np.isfinite(times) & (times >= 0)
+    if not np.all(valid):
+        raise DomainError(
+            f"channel duration must be finite and non-negative, got {times[~valid][0]}"
+        )
     encoded = density_from_ket(superdense_encode(message))
-    damped = damp_first_qubit_coherence(encoded, float(np.exp(-2.0 * delta * t)))
-    _, probs = superdense_decode(damped)
+    _, intact = superdense_decode(encoded)
+    _, dephased = superdense_decode(damp_first_qubit_coherence(encoded, 0.0))
+    factor = np.exp(-2.0 * delta * times)
+    return dephased + factor[:, None] * (intact - dephased)
+
+
+def superdense_success_probability(message: str, delta: float, t: float) -> float:
+    """Probability that the message survives dephasing of the sender's qubit for time t."""
+    probs = _superdense_probabilities(message, delta, [t])[0]
     return float(probs[MESSAGES.index(message)])
 
 
@@ -256,7 +271,7 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     times = np.linspace(0.0, t_max, n_points)
     success = {
-        msg: np.array([superdense_success_probability(msg, delta, t) for t in times])
-        for msg in MESSAGES
+        msg: _superdense_probabilities(msg, delta, times)[:, i]
+        for i, msg in enumerate(MESSAGES)
     }
     return SuperdenseSweep(times=times, success=success)

@@ -129,11 +129,16 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
     """
     m = np.asarray(matrix)
     if m.shape == (2, 2):
-        a = m[0, 0].real
-        b = m[1, 1].real
-        offdiag = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
-        return float(0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + abs(offdiag) ** 2))
+        return float(_min_eigenvalue_2x2(m))
     return float(np.linalg.eigvalsh(m)[0])
+
+
+def _min_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:
+    """Closed-form smallest eigenvalue of each hermitized 2x2 matrix in m[..., 2, 2]."""
+    a = m[..., 0, 0].real
+    b = m[..., 1, 1].real
+    offdiag = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0]))
+    return 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + np.abs(offdiag) ** 2)
 
 
 def _as_density(rho) -> DensityMatrix:

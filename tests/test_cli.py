@@ -1,12 +1,18 @@
 """Tests for the command-line front end and its output formats."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qubitsim import TimeSeries
+from qubitsim import MESSAGES, PhotonState, TimeSeries
+from qubitsim import cli
 from qubitsim.cli import emit_csv, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -146,6 +152,22 @@ class TestSuperdenseCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("message", MESSAGES)
+    def test_single_decode_matches_closed_form(self, capsys, message):
+        partner = {"00": "01", "01": "00", "10": "11", "11": "10"}[message]
+        for delta in (0.0, 0.05, 0.25, 1.0, 3.0):
+            code, out, _ = run_cli(
+                capsys, ["superdense", "--message", message, "--delta", str(delta),
+                         "--format", "json"]
+            )
+            assert code == 0
+            factor = np.exp(-2.0 * delta)  # one channel use lasts one time unit
+            want = np.zeros(4)
+            want[MESSAGES.index(message)] = 0.5 * (1.0 + factor)
+            want[MESSAGES.index(partner)] = 0.5 * (1.0 - factor)
+            got = np.array(json.loads(out)["data"]["probabilities"])
+            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_sweep_jobs_do_not_change_output(self, capsys):
         args = ["superdense", "--message", "11", "--delta", "0.25", "--t-max", "4",
                 "--points", "9"]
@@ -209,6 +231,37 @@ class TestInterferenceCommand:
         _, single, _ = run_cli(capsys, self.FLAT_ARGS)
         _, parallel, _ = run_cli(capsys, self.FLAT_ARGS + ["--jobs", "4"])
         assert single == parallel
+
+    def amplitude_args(self, a, b):
+        args = list(self.FLAT_ARGS) + ["--format", "json"]
+        args[args.index("--a") + 1] = a
+        args[args.index("--b") + 1] = b
+        return args
+
+    def test_typed_amplitudes_are_rescaled(self, capsys):
+        # a^2 + b^2 = 0.9999999966, outside the library's 1e-12 but inside 1e-6.
+        code, out, err = run_cli(capsys, self.amplitude_args("0.70710678", "0.70710678"))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["meta"]["parameters"]["a"] == 0.70710678
+        assert doc["meta"]["parameters"]["b"] == 0.70710678
+        assert max(doc["data"]["intensity"]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_amplitudes_outside_input_tolerance_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, self.amplitude_args("0.7071", "0.7071"))
+        assert code == 2
+        assert "a^2 + b^2" in err
+
+    def test_normalized_amplitudes_are_used_as_typed(self, capsys, monkeypatch):
+        seen = []
+
+        def recording_state(a, b, phi):
+            seen.append((a, b))
+            return PhotonState(a, b, phi)
+
+        monkeypatch.setattr(cli, "PhotonState", recording_state)
+        assert run_cli(capsys, self.amplitude_args("0.6", "0.8"))[0] == 0
+        assert seen == [(0.6, 0.8)]
 
 
 class TestRabiCommand:
@@ -278,3 +331,40 @@ class TestArgumentParsing:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "qubitsim" in capsys.readouterr().out
+
+
+def readme_commands():
+    """Every `qubitsim ...` command in README.md, with and without its [...] flags."""
+    text = README.read_text().replace("\\\n", " ")
+    commands = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line.startswith("qubitsim "):
+            continue
+        commands.append(re.sub(r"\s*\[[^\]]*\]", "", line))
+        if "[" in line:
+            commands.append(line.replace("[", "").replace("]", ""))
+    return commands
+
+
+def test_readme_lists_commands():
+    assert len(readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_exits_0(capsys, command):
+    code, out, err = run_cli(capsys, shlex.split(command)[1:])
+    assert code == 0, err
+    assert out
+
+
+def test_csv_output_builds_no_json_columns(capsys, monkeypatch):
+    def fail(columns):
+        raise AssertionError("JSON columns built for CSV output")
+
+    monkeypatch.setattr(cli, "_columns_json", fail)
+    code, _, err = run_cli(
+        capsys, ["rabi", "--omega", "1", "--delta", "0.01", "--epsilon", "1", "--t-max", "1",
+                 "--dt", "0.01"]
+    )
+    assert code == 0, err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qubitsim import dynamics
 from qubitsim import (
     SIGMA_X,
     SIGMA_Z,
@@ -22,7 +23,7 @@ from qubitsim import (
     hamiltonian_at,
     pure_dephasing_analytic,
 )
-from qubitsim.dynamics import _series_from_trajectory
+from qubitsim.dynamics import _integrate_static, _series_from_trajectory
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EQUAL_SUPERPOSITION = density_from_ket(Ket([INV_SQRT2, INV_SQRT2]))
@@ -260,8 +261,8 @@ class TestLindbladEvolution:
         assert coarse / fine >= 12.0
 
     def test_full_cosine_with_dephasing_matches_static_path_weak_drive(self):
-        # Cross-check the two integration routes on the same problem: a very
-        # weak off-resonant drive barely perturbs the pure-dephasing decay.
+        # Cross-check the driven and static step maps on the same problem: a
+        # very weak off-resonant drive barely perturbs the pure-dephasing decay.
         channel = LindbladChannel.pure_dephasing(0.2)
         driven = QubitHamiltonian(
             epsilon=1.0, omega_rabi=1e-6, omega0=3.0, drive_mode=DriveMode.FULL_COSINE
@@ -271,6 +272,125 @@ class TestLindbladEvolution:
         b = evolve_lindblad(EQUAL_SUPERPOSITION, undriven, [channel], 2.0, 0.01)
         assert np.max(np.abs(a.rho01 - b.rho01)) < 1e-5
         assert np.max(np.abs(a.p_e - b.p_e)) < 1e-5
+
+
+def reference_static(rho0, h, channels, dt, n_steps):
+    """Frozen copy of the earlier static integrator: a degree-4 Taylor propagator."""
+    eye = np.eye(2, dtype=complex)
+    h_mat = hamiltonian_at(h, 0.0)
+    gen = -1j * (np.kron(h_mat, eye) - np.kron(eye, h_mat.T))
+    for ch in channels:
+        op = ch.operator
+        op_sq = op.conj().T @ op
+        gen += np.kron(op, op.conj()) - 0.5 * (np.kron(op_sq, eye) + np.kron(eye, op_sq.T))
+    scaled = gen * dt
+    prop = np.eye(4, dtype=complex)
+    term = np.eye(4, dtype=complex)
+    for k in (1, 2, 3, 4):
+        term = term @ scaled / k
+        prop = prop + term
+    vec = rho0.reshape(4).astype(complex)
+    out = np.empty((n_steps + 1, 4), dtype=complex)
+    out[0] = vec
+    for k in range(1, n_steps + 1):
+        vec = prop @ vec
+        out[k] = vec
+    return out
+
+
+def reference_stepwise(rho0, h, channels, dt, n_steps):
+    """Frozen copy of the earlier time-dependent integrator: four 2x2 RK4 stages per step."""
+    channel_terms = []
+    for ch in channels:
+        op = ch.operator
+        channel_terms.append((op, op.conj().T, op.conj().T @ op))
+
+    def rhs(t, rho):
+        h_t = hamiltonian_at(h, t)
+        out = -1j * (h_t @ rho - rho @ h_t)
+        for op, op_dag, op_sq in channel_terms:
+            out += op @ rho @ op_dag - 0.5 * (op_sq @ rho + rho @ op_sq)
+        return out
+
+    rho = rho0.astype(complex)
+    out = np.empty((n_steps + 1, 4), dtype=complex)
+    out[0] = rho.reshape(4)
+    half = 0.5 * dt
+    for k in range(n_steps):
+        t = k * dt
+        k1 = rhs(t, rho)
+        k2 = rhs(t + half, rho + half * k1)
+        k3 = rhs(t + half, rho + half * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = rho.reshape(4)
+    return out
+
+
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def random_channels(rng):
+    """Amplitude damping, pure dephasing and a random operator, each with rate at most 2."""
+    generic = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    generic *= np.sqrt(rng.uniform(0.1, 2.0)) / np.linalg.norm(generic, 2)
+    return [
+        LindbladChannel(np.sqrt(rng.uniform(0.0, 2.0)) * SIGMA_MINUS),
+        LindbladChannel.pure_dephasing(rng.uniform(0.0, 2.0)),
+        LindbladChannel(generic),
+    ]
+
+
+class TestStepMapIntegrator:
+    """The one step-map loop against frozen copies of the two loops it replaced."""
+
+    DT = 0.01  # with every frequency and rate below 5, dt stays inside the step guard
+
+    def test_static_generators_match_taylor_loop(self):
+        rng = np.random.default_rng(11)
+        modes = (DriveMode.NONE, DriveMode.ROTATING_WAVE, DriveMode.FULL_COSINE)
+        for trial in range(9):
+            mode = modes[trial % 3]
+            h = QubitHamiltonian(
+                epsilon=rng.uniform(0.0, 5.0),
+                omega_rabi=rng.uniform(0.0, 3.0) if mode is DriveMode.ROTATING_WAVE else 0.0,
+                omega0=rng.uniform(0.0, 5.0),
+                drive_mode=mode,
+            )
+            all_channels = random_channels(rng)
+            channels = [all_channels[i] for i in range(3) if rng.random() < 0.6]
+            rho0 = random_density(rng).matrix
+            got = _integrate_static(rho0, h, channels, self.DT, 3000)
+            want = reference_static(rho0, h, channels, self.DT, 3000)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_cosine_drive_matches_stage_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(4):
+            h = QubitHamiltonian(
+                epsilon=rng.uniform(0.0, 5.0),
+                omega_rabi=rng.uniform(0.1, 3.0),
+                omega0=rng.uniform(0.0, 5.0),
+                drive_mode=DriveMode.FULL_COSINE,
+            )
+            channels = random_channels(rng)[: trial % 4]
+            rho0 = random_density(rng).matrix
+            got = _integrate_static(rho0, h, channels, self.DT, 600)
+            want = reference_stepwise(rho0, h, channels, self.DT, 600)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_cosine_drive_crosses_map_blocks(self, monkeypatch):
+        # Batches of 7 steps over 50 steps: a partial last block and a clock
+        # that must carry across block boundaries.
+        monkeypatch.setattr(dynamics, "_MAP_BLOCK", 7)
+        h = QubitHamiltonian(
+            epsilon=2.0, omega_rabi=1.5, omega0=2.5, drive_mode=DriveMode.FULL_COSINE
+        )
+        channels = [LindbladChannel.pure_dephasing(0.3)]
+        rho0 = EQUAL_SUPERPOSITION.matrix
+        got = _integrate_static(rho0, h, channels, self.DT, 50)
+        want = reference_stepwise(rho0, h, channels, self.DT, 50)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestTrajectoryMonitoring:

@@ -23,6 +23,7 @@ from qubitsim import (
     superdense_encode,
     superdense_success_probability,
 )
+from qubitsim.protocols import _superdense_probabilities
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -328,3 +329,49 @@ class TestSuperdenseSweep:
             superdense_channel_sweep(delta=0.1, t_max=0.0, n_points=4)
         with pytest.raises(DomainError):
             superdense_channel_sweep(delta=0.1, t_max=1.0, n_points=1)
+
+
+# Closed form over a grid of rates and channel durations. First-qubit
+# dephasing turns each encoded Bell state into a mixture with its partner
+# of equal populations: (1 + e^{-2 delta t})/2 for the sent message,
+# (1 - e^{-2 delta t})/2 for the partner, 0 for the other two.
+PARTNER = {"00": "01", "01": "00", "10": "11", "11": "10"}
+SUPERDENSE_RATES = (0.0, 0.05, 0.25, 1.0, 3.0)
+SUPERDENSE_TIMES = np.linspace(0.0, 6.0, 25)
+
+
+def superdense_closed_form(message, delta, times):
+    factor = np.exp(-2.0 * delta * np.asarray(times, dtype=float))
+    want = np.zeros((factor.size, 4))
+    want[:, MESSAGES.index(message)] = 0.5 * (1.0 + factor)
+    want[:, MESSAGES.index(PARTNER[message])] = 0.5 * (1.0 - factor)
+    return want
+
+
+class TestSuperdenseClosedForm:
+    @pytest.mark.parametrize("message", MESSAGES)
+    def test_all_outcomes(self, message):
+        for delta in SUPERDENSE_RATES:
+            got = _superdense_probabilities(message, delta, SUPERDENSE_TIMES)
+            want = superdense_closed_form(message, delta, SUPERDENSE_TIMES)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("message", MESSAGES)
+    def test_success_probability(self, message):
+        i = MESSAGES.index(message)
+        for delta in SUPERDENSE_RATES:
+            want = superdense_closed_form(message, delta, SUPERDENSE_TIMES)[:, i]
+            got = [superdense_success_probability(message, delta, t) for t in SUPERDENSE_TIMES]
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-15
+
+    def test_channel_sweep(self):
+        for delta in SUPERDENSE_RATES:
+            sweep = superdense_channel_sweep(delta, SUPERDENSE_TIMES[-1], SUPERDENSE_TIMES.size)
+            for i, message in enumerate(MESSAGES):
+                want = superdense_closed_form(message, delta, sweep.times)[:, i]
+                assert np.max(np.abs(sweep.success[message] - want)) <= 1e-15
+
+    def test_rejects_bad_duration(self):
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="channel duration"):
+                superdense_success_probability("00", 0.1, t)

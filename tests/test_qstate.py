@@ -21,6 +21,7 @@ from qubitsim import (
     reduced_with_overlap,
     tensor,
 )
+from qubitsim.qstate import _min_eigenvalue_2x2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -345,3 +346,12 @@ class TestMinEigenvalue:
             assert min_eigenvalue(herm) == pytest.approx(
                 np.linalg.eigvalsh(herm)[0], abs=1e-10
             )
+
+    def test_stacked_closed_form_matches_solver(self):
+        rng = np.random.default_rng(52)
+        a = rng.normal(size=(3, 50, 2, 2)) + 1j * rng.normal(size=(3, 50, 2, 2))
+        herm = a + np.conj(np.swapaxes(a, -1, -2))
+        lam = _min_eigenvalue_2x2(herm)
+        assert lam.shape == (3, 50)
+        assert np.allclose(lam, np.linalg.eigvalsh(herm)[..., 0], atol=1e-10)
+        assert lam[1, 7] == min_eigenvalue(herm[1, 7])
