@@ -4,6 +4,11 @@ All quantities are dimensionless natural units (hbar = 1): energies and
 drive amplitudes are angular frequencies, rates are inverse time, in one
 common reciprocal time unit chosen by the user. Output is deterministic:
 identical flags produce byte-identical artifacts.
+
+CSV writes floats with 9 significant digits and JSON in full; both write
+-0.0 as 0.0. JSON meta.parameters echoes every subcommand flag as parsed:
+defaults included, unset optional flags left out, and a single superdense
+decode adds transmission_time.
 """
 
 import argparse
@@ -43,30 +48,30 @@ _SINGLE_SHOT_TIME = 1.0
 # the CLI accepts |a^2 + b^2 - 1| up to this and rescales them to unit norm.
 _INPUT_NORM_ATOL = 1e-6
 
+# Flags that choose how a run is delivered; JSON meta.parameters echoes the rest.
+_NOT_PARAMETERS = ("command", "format", "output", "jobs")
 
-def _fmt(value) -> str:
-    # 9 significant digits, trailing zeros kept, -0.0 collapsed to 0.0.
-    return f"{float(value) + 0.0:#.9g}"
+
+def _plus_zero(values) -> np.ndarray:
+    # -0.0 + 0.0 is 0.0: both formats write a negative zero as 0.0.
+    return np.asarray(values, dtype=float) + 0.0
 
 
 def _render_csv(columns) -> str:
+    """Header, then one line per row from a single %-format string for the table."""
+    cells, formats = [], []
+    for _, values in columns:
+        text = np.asarray(values).dtype.kind == "U"
+        cells.append(values if text else _plus_zero(values))
+        formats.append("%s" if text else "%#.9g")  # 9 significant digits, zeros kept
+    row = ",".join(formats)
     lines = [",".join(name for name, _ in columns)]
-    n_rows = len(columns[0][1]) if columns else 0
-    for i in range(n_rows):
-        cells = []
-        for _, values in columns:
-            cell = values[i]
-            cells.append(cell if isinstance(cell, str) else _fmt(cell))
-        lines.append(",".join(cells))
+    lines.extend(row % cell for cell in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(document) -> str:
     return json.dumps(document, indent=2) + "\n"
-
-
-def _floats(values):
-    return [float(v) + 0.0 for v in values]
 
 
 def _atomic_write(path: str, text: str):
@@ -100,18 +105,8 @@ def _series_columns(series: TimeSeries):
     ]
 
 
-def emit_csv(series: TimeSeries, destination=None):
-    """Write a trajectory as CSV rows t,p_g,p_e,re_rho01,im_rho01,abs_rho01."""
-    _deliver(_render_csv(_series_columns(series)), destination)
-
-
-def emit_json(document, destination=None):
-    """Write one JSON document (meta + data) with stable key order."""
-    _deliver(_render_json(document), destination)
-
-
 def _columns_json(columns):
-    return {name: _floats(values) for name, values in columns}
+    return {name: _plus_zero(values).tolist() for name, values in columns}
 
 
 def _handle_interference(args):
@@ -127,19 +122,8 @@ def _handle_interference(args):
         raise DomainError("--x-max must exceed --x-min")
     x = np.linspace(args.x_min, args.x_max, args.points)
     intensity = quantum_intensity(state, geom.phase_difference(x))
-    params = {
-        "k": args.k,
-        "slit_spacing": args.slit_spacing,
-        "screen_distance": args.screen_distance,
-        "a": args.a,
-        "b": args.b,
-        "phi": args.phi,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-        "points": args.points,
-    }
     columns = [("x", x), ("intensity", intensity)]
-    return params, columns, lambda: _columns_json(columns)
+    return columns, lambda: _columns_json(columns)
 
 
 def _handle_ramsey(args):
@@ -150,14 +134,8 @@ def _handle_ramsey(args):
         dephasing_rate=args.dephasing_rate,
     )
     series = ramsey_scan(cfg)
-    params = {
-        "delta_split": args.delta_split,
-        "tau_max": args.tau_max,
-        "points": args.points,
-        "dephasing_rate": args.dephasing_rate,
-    }
     columns = _series_columns(series)
-    return params, columns, lambda: _columns_json(columns)
+    return columns, lambda: _columns_json(columns)
 
 
 def _handle_dephasing(args):
@@ -168,47 +146,29 @@ def _handle_dephasing(args):
     h = QubitHamiltonian(epsilon=args.epsilon)
     channel = LindbladChannel.pure_dephasing(args.delta)
     series = evolve_lindblad(rho0, h, (channel,), args.t_max, args.dt)
-    params = {
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "t_max": args.t_max,
-        "dt": args.dt,
-        "rho01_init_re": args.rho01_init_re,
-        "rho01_init_im": args.rho01_init_im,
-        "p_e_init": args.p_e_init,
-    }
     columns = _series_columns(series)
-    return params, columns, lambda: _columns_json(columns)
+    return columns, lambda: _columns_json(columns)
 
 
 def _handle_rabi(args):
     merit = figure_of_merit(args.delta, args.omega)
     series = rabi_with_dephasing(args.omega, args.delta, args.epsilon, args.t_max, args.dt)
-    params = {
-        "omega": args.omega,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "t_max": args.t_max,
-        "dt": args.dt,
-    }
     columns = _series_columns(series)
-    return params, columns, lambda: {**_columns_json(columns), "figure_of_merit": float(merit)}
+    return columns, lambda: {**_columns_json(columns), "figure_of_merit": float(merit)}
 
 
 def _handle_superdense(args):
     if (args.t_max is None) != (args.points is None):
         raise DomainError("--t-max and --points must be given together")
-    params = {"message": args.message, "delta": args.delta}
     if args.t_max is None:
         probs = _superdense_probabilities(args.message, args.delta, [_SINGLE_SHOT_TIME])[0]
         decoded = MESSAGES[int(np.argmax(probs))]
-        params["transmission_time"] = _SINGLE_SHOT_TIME
+        args.transmission_time = _SINGLE_SHOT_TIME  # echoed in meta.parameters
         columns = [("outcome", list(MESSAGES)), ("probability", probs)]
-        return params, columns, lambda: {"probabilities": _floats(probs), "decoded": decoded}
+        return columns, lambda: {"probabilities": _plus_zero(probs).tolist(), "decoded": decoded}
     sweep = superdense_channel_sweep(args.delta, args.t_max, args.points)
-    params.update({"t_max": args.t_max, "points": args.points})
     columns = [("t", sweep.times)] + [(f"success_{m}", sweep.success[m]) for m in MESSAGES]
-    return params, columns, lambda: _columns_json(columns)
+    return columns, lambda: _columns_json(columns)
 
 
 _HANDLERS = {
@@ -291,19 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     """Execute one parsed subcommand and deliver its artifact."""
     # Handlers return a function that builds the JSON data, so CSV runs skip it.
-    params, columns, json_data = _HANDLERS[args.command](args)
+    columns, json_data = _HANDLERS[args.command](args)
     if args.format == "csv":
         _deliver(_render_csv(columns), args.output)
-    else:
-        document = {
-            "meta": {
-                "subcommand": args.command,
-                "parameters": params,
-                "version": __version__,
-            },
-            "data": json_data(),
-        }
-        emit_json(document, args.output)
+        return 0
+    parameters = {
+        name: value for name, value in vars(args).items()
+        if name not in _NOT_PARAMETERS and value is not None
+    }
+    document = {
+        "meta": {"subcommand": args.command, "parameters": parameters, "version": __version__},
+        "data": json_data(),
+    }
+    _deliver(_render_json(document), args.output)
     return 0
 
 

@@ -43,6 +43,11 @@ _STEP_RESOLUTION = 0.1  # dt * (fastest angular frequency or rate) must stay bel
 _MAP_BLOCK = 4096
 
 
+def _check_dephasing_rate(delta: float):
+    if not (np.isfinite(delta) and delta >= 0):
+        raise DomainError(f"dephasing rate must be non-negative, got {delta}")
+
+
 class DriveMode(enum.Enum):
     NONE = "none"
     FULL_COSINE = "full_cosine"
@@ -65,12 +70,10 @@ class QubitHamiltonian:
     drive_mode: DriveMode = DriveMode.NONE
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.omega_rabi < 0:
-            raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
-        if self.omega0 < 0:
-            raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
+        for name in ("epsilon", "omega_rabi", "omega0"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.drive_mode is DriveMode.NONE and self.omega_rabi != 0.0:
             raise ValueError("drive_mode NONE requires omega_rabi = 0")
 
@@ -101,8 +104,7 @@ class LindbladChannel:
     @classmethod
     def pure_dephasing(cls, delta: float) -> "LindbladChannel":
         """Channel sqrt(delta) sigma_z: random splitting fluctuations at rate delta."""
-        if not (np.isfinite(delta) and delta >= 0):
-            raise DomainError(f"dephasing rate must be non-negative, got {delta}")
+        _check_dephasing_rate(delta)
         return cls(np.sqrt(delta) * SIGMA_Z)
 
     @property
@@ -243,10 +245,15 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
 
 
 def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
-    """Validate every sample against the trajectory tolerances, then record it."""
+    """Validate every sample against the trajectory tolerances, then record it.
+
+    Each test asks whether a sample is within tolerance, so that a NaN
+    sample, which compares False with everything, fails it at its step.
+    """
     trace_err = np.abs(traj[:, 0] + traj[:, 3] - 1.0)
-    if np.max(trace_err) > TRACE_TOL:
-        idx = int(np.argmax(trace_err > TRACE_TOL))
+    ok = trace_err <= TRACE_TOL
+    if not ok.all():
+        idx = int(np.argmin(ok))
         raise NumericalInstabilityError(
             f"trace deviated by {trace_err[idx]:.3e} at step {idx}"
         )
@@ -254,14 +261,16 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
         np.abs(traj[:, 1] - np.conj(traj[:, 2])),
         2.0 * np.maximum(np.abs(traj[:, 0].imag), np.abs(traj[:, 3].imag)),
     )
-    if np.max(herm_err) > HERMITICITY_TOL:
-        idx = int(np.argmax(herm_err > HERMITICITY_TOL))
+    ok = herm_err <= HERMITICITY_TOL
+    if not ok.all():
+        idx = int(np.argmin(ok))
         raise NumericalInstabilityError(
             f"hermiticity deviated by {herm_err[idx]:.3e} at step {idx}"
         )
     lam_min = _min_eigenvalue_2x2(traj.reshape(-1, 2, 2))
-    if np.min(lam_min) < POSITIVITY_FLOOR:
-        idx = int(np.argmax(lam_min < POSITIVITY_FLOOR))
+    ok = lam_min >= POSITIVITY_FLOOR
+    if not ok.all():
+        idx = int(np.argmin(ok))
         raise NumericalInstabilityError(
             f"positivity breached (min eigenvalue {lam_min[idx]:.3e}) at step {idx}"
         )
@@ -315,8 +324,7 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
     follows by conjugation. Serves as the closed-form oracle for
     evolve_lindblad with the sqrt(delta) sigma_z channel.
     """
-    if not (np.isfinite(delta) and delta >= 0):
-        raise DomainError(f"dephasing rate must be non-negative, got {delta}")
+    _check_dephasing_rate(delta)
     mat = _as_density(rho0).matrix
     factor = np.exp(-2.0 * delta * t) * np.exp(-1j * epsilon * t)
     upper = mat[0, 1] * factor

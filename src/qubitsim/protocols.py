@@ -25,6 +25,7 @@ from .dynamics import (
     LindbladChannel,
     QubitHamiltonian,
     TimeSeries,
+    _check_dephasing_rate,
     evolve_lindblad,
 )
 from .errors import DomainError, SamplingError
@@ -55,14 +56,12 @@ class RamseyConfig:
 
     delta_split is the level splitting (angular frequency), tau_max the
     longest free-evolution delay, n_points the scan length. dephasing_rate
-    adds pure dephasing during the delay. Only instantaneous pulses are
-    modeled.
+    adds pure dephasing during the delay.
     """
 
     delta_split: float
     tau_max: float
     n_points: int
-    pulse_model: str = "instantaneous"
     dephasing_rate: float = 0.0
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class RamseyConfig:
             raise ValueError(f"tau_max must be positive, got {self.tau_max}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
-        if self.pulse_model != "instantaneous":
-            raise ValueError(f"unsupported pulse model {self.pulse_model!r}")
         if not np.isfinite(self.delta_split):
             raise ValueError("delta_split must be finite")
         if not (np.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
@@ -164,8 +161,7 @@ def figure_of_merit(delta: float, omega: float) -> float:
     """Gate-to-decoherence timescale ratio delta/omega; smaller is better."""
     if not (np.isfinite(omega) and omega > 0):
         raise DomainError(f"drive amplitude must be positive, got {omega}")
-    if not (np.isfinite(delta) and delta >= 0):
-        raise DomainError(f"dephasing rate must be non-negative, got {delta}")
+    _check_dephasing_rate(delta)
     return delta / omega
 
 
@@ -237,8 +233,7 @@ def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
     coherences by f = e^{-2 delta t}, so every row is p(0) + f (p(1) - p(0)),
     with p(f) the decode of the encoded state damped by f.
     """
-    if not (np.isfinite(delta) and delta >= 0):
-        raise DomainError(f"dephasing rate must be non-negative, got {delta}")
+    _check_dephasing_rate(delta)
     times = np.asarray(times, dtype=float)
     valid = np.isfinite(times) & (times >= 0)
     if not np.all(valid):

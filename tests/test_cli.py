@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its output formats."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from qubitsim import MESSAGES, PhotonState, TimeSeries
 from qubitsim import cli
-from qubitsim.cli import emit_csv, main
+from qubitsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,34 +29,37 @@ def parse_csv(text):
     return header, rows
 
 
+def render_series_csv(series):
+    return cli._render_csv(cli._series_columns(series))
+
+
 class TestEmitCsv:
-    def test_empty_series_is_header_only(self, capsys):
+    """CSV rendering of a trajectory: header, then one row per sample."""
+
+    def test_empty_series_is_header_only(self):
         series = TimeSeries(
             times=np.array([]), p_g=np.array([]), p_e=np.array([]),
             rho01=np.array([], dtype=complex),
         )
-        emit_csv(series)
-        out = capsys.readouterr().out
+        out = render_series_csv(series)
         assert out == "t,p_g,p_e,re_rho01,im_rho01,abs_rho01\n"
 
-    def test_ground_state_sample_row(self, capsys):
+    def test_ground_state_sample_row(self):
         series = TimeSeries(
             times=np.array([0.0]), p_g=np.array([1.0]), p_e=np.array([0.0]),
             rho01=np.array([0.0], dtype=complex),
         )
-        emit_csv(series)
-        out = capsys.readouterr().out
+        out = render_series_csv(series)
         assert out.split("\n")[1] == (
             "0.00000000,1.00000000,0.00000000,0.00000000,0.00000000,0.00000000"
         )
 
-    def test_nine_significant_digits(self, capsys):
+    def test_nine_significant_digits(self):
         series = TimeSeries(
             times=np.array([2.0]), p_g=np.array([0.5]), p_e=np.array([0.5]),
             rho01=np.array([0.5 * np.exp(-1.0) + 0.0j]),
         )
-        emit_csv(series)
-        row = capsys.readouterr().out.split("\n")[1].split(",")
+        row = render_series_csv(series).split("\n")[1].split(",")
         assert row[0] == "2.00000000"
         assert row[5] == "0.183939721"
 
@@ -368,3 +372,108 @@ def test_csv_output_builds_no_json_columns(capsys, monkeypatch):
                  "--dt", "0.01"]
     )
     assert code == 0, err
+
+
+class TestJsonParameters:
+    """meta.parameters echoes every subcommand flag as parsed, in parser order."""
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["interference", "--points", "51", "--x-max", "100", "--x-min", "-100", "--phi", "0",
+          "--b", "0", "--a", "1", "--screen-distance", "1.0", "--slit-spacing", "0.01",
+          "--k", "6.283185307179586"],
+         ["k", "slit_spacing", "screen_distance", "a", "b", "phi", "x_min", "x_max", "points"]),
+        (["ramsey", "--points", "512", "--tau-max", "50.265", "--delta-split", "1"],
+         ["delta_split", "tau_max", "points", "dephasing_rate"]),
+        (["ramsey", "--dephasing-rate", "0.1", "--delta-split", "1", "--tau-max", "50.265",
+          "--points", "512"],
+         ["delta_split", "tau_max", "points", "dephasing_rate"]),
+        (["dephasing", "--dt", "0.01", "--t-max", "1", "--delta", "0.25", "--epsilon", "1"],
+         ["epsilon", "delta", "t_max", "dt", "rho01_init_re", "rho01_init_im", "p_e_init"]),
+        (["rabi", "--dt", "0.01", "--t-max", "1", "--epsilon", "1", "--delta", "0.001",
+          "--omega", "1"],
+         ["omega", "delta", "epsilon", "t_max", "dt"]),
+        (["superdense", "--delta", "0.25", "--message", "10"],
+         ["message", "delta", "transmission_time"]),
+        (["superdense", "--points", "5", "--t-max", "4", "--delta", "0.25", "--message", "00"],
+         ["message", "delta", "t_max", "points"]),
+    ], ids=["interference", "ramsey", "ramsey-damped", "dephasing", "rabi",
+            "superdense-single", "superdense-sweep"])
+    def test_ordered_keys(self, capsys, tmp_path, argv, keys):
+        target = tmp_path / "run.json"
+        code, _, err = run_cli(
+            capsys, argv + ["--jobs", "2", "--output", str(target), "--format", "json"]
+        )
+        assert code == 0, err
+        assert list(json.loads(target.read_text())["meta"]["parameters"]) == keys
+
+    def test_values_as_parsed_with_defaults(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1",
+                     "--dt", "0.01", "--rho01-init-re", "0.25", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["parameters"] == {
+            "epsilon": 1.0, "delta": 0.25, "t_max": 1.0, "dt": 0.01,
+            "rho01_init_re": 0.25, "rho01_init_im": 0.0, "p_e_init": 0.5,
+        }
+
+    def test_single_decode_values(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["superdense", "--message", "10", "--delta", "0", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["parameters"] == {
+            "message": "10", "delta": 0.0, "transmission_time": 1.0,
+        }
+
+
+class TestNegativeZero:
+    """-0.0 is written as 0.0 in both formats."""
+
+    # Both initial coherence parts typed as -0.0 give re_rho01 = -0.0 at t = 0.
+    ARGS = ["dephasing", "--epsilon", "0", "--delta", "0", "--t-max", "1", "--dt", "0.1",
+            "--rho01-init-re", "-0.0", "--rho01-init-im", "-0.0"]
+
+    def test_input_really_yields_negative_zero(self, monkeypatch, capsys):
+        seen = []
+        columns = cli._series_columns
+
+        def spy(series):
+            seen.append(series.rho01.real[0])
+            return columns(series)
+
+        monkeypatch.setattr(cli, "_series_columns", spy)
+        assert run_cli(capsys, self.ARGS)[0] == 0
+        assert seen[0] == 0.0 and math.copysign(1.0, seen[0]) == -1.0
+
+    def test_csv(self, capsys):
+        code, out, _ = run_cli(capsys, self.ARGS)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert rows[0][header.index("re_rho01")] == "0.00000000"
+        assert "-0.0" not in out
+
+    def test_json(self, capsys):
+        code, out, _ = run_cli(capsys, self.ARGS + ["--format", "json"])
+        assert code == 0
+        value = json.loads(out)["data"]["re_rho01"][0]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert "-0.0" not in json.dumps(json.loads(out)["data"])
+
+    def test_renderers(self):
+        columns = [("v", np.array([-0.0, 1.5]))]
+        assert cli._render_csv(columns) == "v\n0.00000000\n1.50000000\n"
+        assert cli._render_json(cli._columns_json(columns)) == '{\n  "v": [\n    0.0,\n    1.5\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ["dephasing", "--epsilon", "nan", "--delta", "0.1", "--t-max", "0.1", "--dt", "0.01"],
+    ["rabi", "--omega", "1", "--delta", "0.1", "--epsilon", "nan", "--t-max", "1",
+     "--dt", "0.01"],
+    ["dephasing", "--epsilon", "inf", "--delta", "0.1", "--t-max", "0.1", "--dt", "0.01"],
+], ids=["dephasing-nan", "rabi-nan", "dephasing-inf"])
+def test_non_finite_epsilon_exits_2_naming_it(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: epsilon ")

@@ -67,6 +67,14 @@ class TestQubitHamiltonian:
         with pytest.raises(ValueError):
             QubitHamiltonian(epsilon=1.0, omega_rabi=-0.5, drive_mode=DriveMode.FULL_COSINE)
 
+    @pytest.mark.parametrize("field", ["epsilon", "omega_rabi", "omega0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_frequencies_must_be_finite_and_non_negative(self, field, value):
+        kwargs = {"epsilon": 1.0, "omega_rabi": 0.5, "omega0": 1.0,
+                  "drive_mode": DriveMode.FULL_COSINE, field: value}
+        with pytest.raises(ValueError, match=field):
+            QubitHamiltonian(**kwargs)
+
     def test_no_drive_means_no_rabi(self):
         with pytest.raises(ValueError):
             QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, drive_mode=DriveMode.NONE)
@@ -408,6 +416,34 @@ class TestTrajectoryMonitoring:
         bad = np.array([[0.5 + 0j, 0.6, 0.6, 0.5]])
         with pytest.raises(NumericalInstabilityError):
             _series_from_trajectory(bad, 0.1)
+
+    @pytest.mark.parametrize("entries, check", [
+        ((np.nan, 0.0, 0.0, 0.5), "trace"),
+        ((0.5, np.nan, np.nan, 0.5), "hermiticity"),
+        ((0.5, complex(0.1, np.nan), complex(0.1, np.nan), 0.5), "hermiticity"),
+        ((0.5 + 1j * np.nan, 0.0, 0.0, 0.5 - 1j * np.nan), "trace"),
+    ])
+    def test_one_nan_row_fails_at_its_step(self, entries, check):
+        traj = np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (10, 1))
+        traj[6] = entries
+        with pytest.raises(NumericalInstabilityError, match=f"^{check} .* at step 6$"):
+            _series_from_trajectory(traj, 0.1)
+
+    def test_nan_minimum_eigenvalue_fails_positivity(self, monkeypatch):
+        traj = np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (4, 1))
+        lam = np.array([0.25, 0.25, np.nan, 0.25])
+        monkeypatch.setattr(dynamics, "_min_eigenvalue_2x2", lambda mats: lam)
+        with pytest.raises(NumericalInstabilityError, match="^positivity .* at step 2$"):
+            _series_from_trajectory(traj, 0.1)
+
+    def test_full_cosine_rejects_nan_carrier(self):
+        with pytest.raises(ValueError, match="omega0"):
+            evolve_lindblad(
+                EQUAL_SUPERPOSITION,
+                QubitHamiltonian(epsilon=1.0, omega_rabi=0.1, omega0=np.nan,
+                                 drive_mode=DriveMode.FULL_COSINE),
+                (), 1.0, 0.01,
+            )
 
 
 class TestAnalyticDephasing:

@@ -23,6 +23,7 @@ from qubitsim import (
     superdense_encode,
     superdense_success_probability,
 )
+from qubitsim.dynamics import LindbladChannel, pure_dephasing_analytic
 from qubitsim.protocols import _superdense_probabilities
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -49,8 +50,6 @@ class TestRamseyConfig:
             RamseyConfig(delta_split=1.0, tau_max=0.0, n_points=10)
         with pytest.raises(ValueError):
             RamseyConfig(delta_split=1.0, tau_max=1.0, n_points=1)
-        with pytest.raises(ValueError):
-            RamseyConfig(delta_split=1.0, tau_max=1.0, n_points=10, pulse_model="gaussian")
         with pytest.raises(ValueError):
             RamseyConfig(delta_split=1.0, tau_max=1.0, n_points=10, dephasing_rate=-0.1)
 
@@ -213,6 +212,19 @@ class TestFigureOfMerit:
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
             figure_of_merit(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    LindbladChannel.pure_dephasing,
+    lambda delta: pure_dephasing_analytic(DensityMatrix(np.eye(2) / 2), 1.0, delta, 1.0),
+    lambda delta: figure_of_merit(delta, 1.0),
+    lambda delta: _superdense_probabilities("00", delta, [1.0]),
+], ids=["pure_dephasing", "pure_dephasing_analytic", "figure_of_merit", "superdense"])
+def test_every_dephasing_rate_entry_gives_one_message(entry, delta):
+    with pytest.raises(DomainError) as excinfo:
+        entry(delta)
+    assert str(excinfo.value) == f"dephasing rate must be non-negative, got {delta}"
 
 
 class TestSuperdenseEncoding:
