@@ -39,13 +39,16 @@ from .protocols import (
     ramsey_scan,
     superdense_channel_sweep,
 )
-from .qstate import NORM_ATOL, DensityMatrix
+from .qstate import EIGENVALUE_ATOL, NORM_ATOL, DensityMatrix, min_eigenvalue
 
 # One channel use in single-shot superdense mode lasts one time unit.
 _SINGLE_SHOT_TIME = 1.0
 
-# Amplitudes typed with a few digits cannot meet the library's NORM_ATOL;
-# the CLI accepts |a^2 + b^2 - 1| up to this and rescales them to unit norm.
+# Values typed with a few digits cannot meet the library's NORM_ATOL or
+# EIGENVALUE_ATOL. The CLI accepts amplitudes with |a^2 + b^2 - 1| up to
+# this and rescales them to unit norm, and a dephasing start state with
+# smallest eigenvalue down to -this and shrinks its coherence onto the
+# pure-state bound.
 _INPUT_NORM_ATOL = 1e-6
 
 # Flags that choose how a run is delivered; JSON meta.parameters echoes the rest.
@@ -138,11 +141,29 @@ def _handle_ramsey(args):
     return columns, lambda: _columns_json(columns)
 
 
+def _dephasing_start(args) -> DensityMatrix:
+    p_e = args.p_e_init
+    coherence = complex(args.rho01_init_re, args.rho01_init_im)
+
+    def state(c):
+        return np.array([[1.0 - p_e, c], [np.conj(c), p_e]])
+
+    lam = min_eigenvalue(state(coherence))
+    if lam < -EIGENVALUE_ATOL:
+        if not 0.0 <= p_e <= 1.0:
+            raise DomainError(f"--p-e-init must lie in [0, 1], got {p_e}")
+        if lam < -_INPUT_NORM_ATOL:
+            raise DomainError(
+                f"--rho01-init-re and --rho01-init-im exceed sqrt(p_e (1 - p_e)) for "
+                f"--p-e-init {p_e}: min eigenvalue {lam:.3e} is below -{_INPUT_NORM_ATOL:g}"
+            )
+        # |rho01|^2 <= p_e (1 - p_e) bounds a state; the typed digits overshoot it.
+        coherence *= math.sqrt(p_e * (1.0 - p_e)) / abs(coherence)
+    return DensityMatrix(state(coherence))
+
+
 def _handle_dephasing(args):
-    coherence0 = args.rho01_init_re + 1j * args.rho01_init_im
-    rho0 = DensityMatrix(
-        [[1.0 - args.p_e_init, coherence0], [np.conj(coherence0), args.p_e_init]]
-    )
+    rho0 = _dephasing_start(args)
     h = QubitHamiltonian(epsilon=args.epsilon)
     channel = LindbladChannel.pure_dephasing(args.delta)
     series = evolve_lindblad(rho0, h, (channel,), args.t_max, args.dt)

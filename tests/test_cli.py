@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubitsim import MESSAGES, PhotonState, TimeSeries
+from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
 from qubitsim import cli
 from qubitsim.cli import main
 
@@ -107,6 +107,43 @@ class TestDephasingCommand:
         )
         assert code == 2
         assert "error:" in err
+
+    START_ARGS = ["dephasing", "--epsilon", "1", "--delta", "0.1", "--t-max", "1", "--dt", "0.01",
+                  "--p-e-init", "0.3"]
+
+    def test_typed_pure_state_is_shrunk_onto_the_bound(self, capsys):
+        # 0.45825758^2 - 0.3 * 0.7 = 4.6e-9: the smallest eigenvalue misses
+        # the library's -1e-9 but not the CLI's -1e-6.
+        code, out, err = run_cli(
+            capsys, self.START_ARGS + ["--rho01-init-re", "0.45825758", "--format", "json"]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["meta"]["parameters"]["rho01_init_re"] == 0.45825758
+        assert doc["data"]["re_rho01"][0] == pytest.approx(math.sqrt(0.21), abs=1e-15)
+        assert doc["data"]["im_rho01"][0] == 0.0
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--rho01-init-re", "0.4583"], "--rho01-init-re and --rho01-init-im"),
+        (["--rho01-init-re", "0.3", "--rho01-init-im", "0.35"], "--rho01-init-re and --rho01-init-im"),
+        (["--p-e-init", "1.0000001", "--rho01-init-re", "0"], "--p-e-init"),
+    ])
+    def test_start_state_outside_input_tolerance_exits_2(self, capsys, extra, flag):
+        code, _, err = run_cli(capsys, self.START_ARGS + extra)
+        assert code == 2
+        assert err.startswith(f"error: {flag}")
+
+    def test_valid_start_state_is_used_as_typed(self, capsys, monkeypatch):
+        # 0.45825757^2 overshoots 0.21 by 4.6e-10, inside the library's tolerance.
+        seen = []
+
+        def recording_state(elements):
+            seen.append(np.array(elements))
+            return DensityMatrix(elements)
+
+        monkeypatch.setattr(cli, "DensityMatrix", recording_state)
+        assert run_cli(capsys, self.START_ARGS + ["--rho01-init-re", "0.45825757"])[0] == 0
+        assert [m[0, 1] for m in seen] == [0.45825757]
 
     def test_step_guard_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -1,7 +1,11 @@
 """Tests for closed and open single-qubit evolution."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubitsim import dynamics
 from qubitsim import (
@@ -335,7 +339,29 @@ def reference_stepwise(rho0, h, channels, dt, n_steps):
     return out
 
 
+def reference_step_map_loop(rho0, h, channels, dt, n_steps):
+    """Frozen copy of the earlier step-map integrator: one 4x4 matvec per step."""
+    if h.drive_mode is DriveMode.FULL_COSINE:
+        static = dynamics._superoperator(0.5 * h.epsilon * SIGMA_Z, channels)
+        drive = dynamics._superoperator(h.omega_rabi * SIGMA_X, ())
+        t = dt * np.arange(n_steps)
+        gens = [static + np.cos(h.omega0 * at)[:, None, None] * drive
+                for at in (t, t + 0.5 * dt, t + dt)]
+        maps = dynamics._rk4_step_map(*gens, dt)
+    else:
+        gen = dynamics._superoperator(hamiltonian_at(h, 0.0), channels)
+        maps = itertools.repeat(dynamics._rk4_step_map(gen, gen, gen, dt), n_steps)
+    vec = rho0.reshape(4).astype(complex)
+    out = np.empty((n_steps + 1, 4), dtype=complex)
+    out[0] = vec
+    for k, step in enumerate(maps, 1):
+        vec = step @ vec
+        out[k] = vec
+    return out
+
+
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_PLUS = SIGMA_MINUS.T.copy()
 
 
 def random_channels(rng):
@@ -399,6 +425,113 @@ class TestStepMapIntegrator:
         got = _integrate_static(rho0, h, channels, self.DT, 50)
         want = reference_stepwise(rho0, h, channels, self.DT, 50)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestBlockedIntegrator:
+    """Block propagation against the frozen per-step loop it replaced."""
+
+    @pytest.mark.parametrize("mode, channels, n_steps", [
+        # A random generic channel, amplitude damping at a finite
+        # temperature and no channel, over as many steps as the longest
+        # library runs.
+        (DriveMode.NONE, "generic", 60000),
+        (DriveMode.ROTATING_WAVE, "thermal", 100000),
+        (DriveMode.ROTATING_WAVE, "none", 100000),
+    ])
+    def test_long_static_runs(self, mode, channels, n_steps):
+        rng = np.random.default_rng(13)
+        epsilon, dt = rng.uniform(0.5, 3.0), 0.02
+        h = QubitHamiltonian(
+            epsilon=epsilon,
+            omega_rabi=rng.uniform(0.3, 1.5) if mode is DriveMode.ROTATING_WAVE else 0.0,
+            omega0=epsilon,
+            drive_mode=mode,
+        )
+        rate = 1.0 / (n_steps * dt)  # about one decay time per run
+        if channels == "generic":
+            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            chans = [LindbladChannel(np.sqrt(rate) * op / np.linalg.norm(op, 2))]
+        elif channels == "thermal":
+            chans = [LindbladChannel(np.sqrt(rate) * SIGMA_MINUS),
+                     LindbladChannel(np.sqrt(0.3 * rate) * SIGMA_PLUS)]
+        else:
+            chans = []
+        rho0 = random_density(rng).matrix
+        got = _integrate_static(rho0, h, chans, dt, n_steps)
+        want = reference_step_map_loop(rho0, h, chans, dt, n_steps)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    @pytest.mark.parametrize("cap, n_steps", [
+        # Next to the block cap, and next to its square with the cap made
+        # small, where blocks stop growing with sqrt(n_steps).
+        *[(dynamics._MAP_BLOCK, dynamics._MAP_BLOCK + d) for d in (-1, 0, 1)],
+        (8, 63), (8, 64), (8, 65),
+    ])
+    def test_runs_next_to_the_block_cap(self, mode, cap, n_steps, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAP_BLOCK", cap)
+        rng = np.random.default_rng(14)
+        h = QubitHamiltonian(
+            epsilon=2.0,
+            omega_rabi=0.0 if mode is DriveMode.NONE else 1.2,
+            omega0=2.3,
+            drive_mode=mode,
+        )
+        channels = random_channels(rng)
+        rho0 = random_density(rng).matrix
+        got = _integrate_static(rho0, h, channels, 0.01, n_steps)
+        want = reference_step_map_loop(rho0, h, channels, 0.01, n_steps)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_cosine_drive_crosses_map_batches(self, monkeypatch):
+        # Blocks of at most 5 steps, batches of 80 maps: three full batches
+        # and a last one of 10 steps in blocks of 4.
+        monkeypatch.setattr(dynamics, "_MAP_BLOCK", 5)
+        rng = np.random.default_rng(15)
+        h = QubitHamiltonian(
+            epsilon=2.0, omega_rabi=1.5, omega0=2.5, drive_mode=DriveMode.FULL_COSINE
+        )
+        channels = random_channels(rng)
+        rho0 = random_density(rng).matrix
+        got = _integrate_static(rho0, h, channels, 0.01, 250)
+        assert np.max(np.abs(got - reference_step_map_loop(rho0, h, channels, 0.01, 250))) <= 1e-12
+        assert np.max(np.abs(got - reference_stepwise(rho0, h, channels, 0.01, 250))) <= 1e-12
+
+
+@given(
+    epsilon=st.floats(0.0, 5.0),
+    delta=st.floats(0.0, 2.0),
+    p_e=st.floats(0.0, 1.0),
+    radius=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    t_max=st.floats(0.5, 10.0),
+    step_fraction=st.floats(0.01, 0.99),
+)
+def test_dephasing_matches_closed_form(epsilon, delta, p_e, radius, phase, t_max, step_fraction):
+    coherence = radius * np.sqrt(p_e * (1.0 - p_e)) * np.exp(1j * phase)
+    rho0 = DensityMatrix([[1.0 - p_e, coherence], [np.conj(coherence), p_e]])
+    # dt inside the step guard: at most t_max/10, and dt times the splitting
+    # and the channel rate delta below _STEP_RESOLUTION.
+    dt = step_fraction * min(t_max / 10.0, dynamics._STEP_RESOLUTION / max(epsilon, delta, 1e-300))
+    series = evolve_lindblad(
+        rho0, QubitHamiltonian(epsilon=epsilon), [LindbladChannel.pure_dephasing(delta)],
+        t_max, dt,
+    )
+    # Each RK4 step multiplies rho01 by R(z) = sum_{m<=4} z^m/m! with
+    # z = -(2 delta + i epsilon) dt, where the exact factor is e^z. The
+    # Taylor remainder bounds |e^z - R(z)| by |z|^5/120 e^|z|, and with
+    # |R(z)|, |e^z| <= 1 (Re z <= 0, |z| inside the RK4 stability region)
+    # the error after k steps is at most k times that. A few ulps per step
+    # allow for rounding.
+    z = abs(complex(2.0 * delta, epsilon)) * dt
+    local = abs(coherence) * z**5 / 120.0 * np.exp(z) + 8.0 * np.finfo(float).eps
+    for k in np.linspace(0, len(series) - 1, 9).astype(int):
+        exact = pure_dephasing_analytic(rho0, epsilon, delta, series.times[k]).matrix
+        bound = k * local
+        assert abs(series.rho01[k] - exact[0, 1]) <= bound
+        assert abs(series.p_e[k] - exact[1, 1].real) <= bound
+        assert abs(series.p_g[k] - exact[0, 0].real) <= bound
 
 
 class TestTrajectoryMonitoring:
@@ -483,6 +616,18 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(
                 times=np.array([0.0, 0.1, 0.3]),
+                p_g=np.zeros(3),
+                p_e=np.ones(3),
+                rho01=np.zeros(3, dtype=complex),
+            )
+
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan, 2.0], [0.0, 1.0, np.nan], [np.nan, 1.0, 2.0],
+    ])
+    def test_rejects_nan_times(self, times):
+        with pytest.raises(ValueError, match="sample times"):
+            TimeSeries(
+                times=np.array(times),
                 p_g=np.zeros(3),
                 p_e=np.ones(3),
                 rho01=np.zeros(3, dtype=complex),
