@@ -73,8 +73,24 @@ def _render_csv(columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(value, indent: str) -> str:
+    """Text of json.dumps(value, indent=2) nested at indent; flat arrays use the C encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = (json.dumps(key) + ": " + _encode(item, inner) for key, item in value.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, list) and value and not any(
+        issubclass(kind, (list, tuple, dict)) for kind in set(map(type, value))
+    ):
+        # indent=2 only puts "\n" + inner between elements, and the C encoder
+        # (which indent turns off) writes whatever item separator it is given.
+        body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+        return "[\n" + inner + body[1:-1] + "\n" + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _render_json(document) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    return _encode(document, "") + "\n"
 
 
 def _atomic_write(path: str, text: str):

@@ -148,6 +148,9 @@ class TimeSeries:
                 raise ValueError("sample times must be strictly increasing")
             if not np.max(np.abs(steps - dt)) <= 1e-9 * max(1.0, abs(dt)):
                 raise ValueError("sample times must be uniformly spaced")
+        for name, value in (("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} values must be finite")
         for name, value in (("times", times), ("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
             object.__setattr__(self, name, value)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
 from qubitsim import cli
@@ -514,3 +516,58 @@ def test_non_finite_epsilon_exits_2_naming_it(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: epsilon ")
+
+
+# Floats json writes in unusual forms, and text it must escape.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1e-300, -1e-300]),
+)
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t/'), st.characters()), max_size=8)
+_SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT)
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, st.lists(_FLOATS, max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+        # Non-string keys, which json converts to strings.
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children,
+                        max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(_TEXT, _DOCUMENTS, max_size=5))
+def test_render_json_matches_json_dumps(document):
+    assert cli._render_json(document) == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("document", [
+    {}, {"a": {}}, {"a": []}, {"a": [[]]}, {"a": [{}]}, {"a": [1.0, [2.0]]},
+    {"a": [1.0, {"a": 1}]}, {"a": {"b": {"c": [-0.0, float("nan"), float("-inf")]}}},
+    {"a": (1.0, 2.0)}, {"a": [(1.0,), 2.0]}, {1: [1.0, 2.0]}, [1.0, 2.0], 1.5, "x",
+])
+def test_render_json_edge_documents(document):
+    assert cli._render_json(document) == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["interference", "--k", "6.2832", "--slit-spacing", "0.01", "--screen-distance", "1",
+     "--a", "0.6", "--b", "0.8", "--phi", "0.3", "--x-min", "-50", "--x-max", "50",
+     "--points", "21"],
+    ["ramsey", "--delta-split", "1", "--tau-max", "10", "--points", "21",
+     "--dephasing-rate", "0.1"],
+    ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
+     "--rho01-init-re", "-0.0"],
+    ["rabi", "--omega", "1", "--delta", "0.01", "--epsilon", "1", "--t-max", "1",
+     "--dt", "0.01"],
+    ["rabi", "--omega", "1", "--delta", "0", "--epsilon", "1", "--t-max", "1", "--dt", "0.01"],
+    ["superdense", "--message", "10", "--delta", "0.25"],
+    ["superdense", "--message", "01", "--delta", "0.25", "--t-max", "6", "--points", "11"],
+], ids=["interference", "ramsey", "dephasing", "rabi", "rabi-delta-0", "superdense-single",
+        "superdense-sweep"])
+def test_main_json_is_json_dumps_layout(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -633,6 +633,18 @@ class TestTimeSeries:
                 rho01=np.zeros(3, dtype=complex),
             )
 
+    @pytest.mark.parametrize("column, bad", [
+        ("p_g", np.nan), ("p_g", np.inf), ("p_e", -np.inf), ("p_e", np.nan),
+        ("rho01", complex(0.0, np.nan)), ("rho01", complex(np.inf, 0.0)),
+    ])
+    def test_rejects_non_finite_values(self, column, bad):
+        values = {
+            "p_g": np.full(3, 0.5), "p_e": np.full(3, 0.5), "rho01": np.zeros(3, dtype=complex),
+        }
+        values[column][1] = bad
+        with pytest.raises(ValueError, match=f"^{column} values must be finite"):
+            TimeSeries(times=np.array([0.0, 1.0, 2.0]), **values)
+
     def test_requires_matching_lengths(self):
         with pytest.raises(ValueError):
             TimeSeries(
@@ -647,3 +659,30 @@ class TestTimeSeries:
         assert len(series) == 11
         assert series.t0 == 0.0
         assert series.dt == pytest.approx(0.1)
+
+
+@given(
+    omega=st.floats(0.01, 5.0),
+    epsilon=st.floats(0.0, 5.0),
+    t_max=st.floats(0.5, 20.0),
+    step_fraction=st.floats(0.01, 0.99),
+)
+def test_undamped_rabi_matches_closed_form(omega, epsilon, t_max, step_fraction):
+    # On resonance (omega0 = epsilon) the rotating-frame generator is
+    # (omega/2) sigma_x, which carries |g> to p_e(t) = sin^2(omega t / 2).
+    h = QubitHamiltonian(epsilon=epsilon, omega_rabi=omega, omega0=epsilon,
+                         drive_mode=DriveMode.ROTATING_WAVE)
+    dt = step_fraction * min(t_max / 10.0, dynamics._STEP_RESOLUTION / max(epsilon, omega))
+    ground = DensityMatrix([[1.0, 0.0], [0.0, 0.0]])
+    series = evolve_lindblad(ground, h, [], t_max, dt)
+    # p_e = (1 - Re w)/2, where w = e^{i omega t} is the Bloch z - i y pair,
+    # the component at the generator eigenvalue z = i omega dt. Each RK4
+    # step multiplies w by R(z) = sum_{m<=4} z^m/m! for the exact e^z, with
+    # |e^z - R(z)| <= |z|^5/120 e^|z| and |R(z)| <= 1 on the imaginary axis
+    # inside the stability region, so after k steps p_e is off by at most
+    # k/2 times that. A few ulps per step allow for rounding.
+    z = omega * dt
+    local = 0.5 * z**5 / 120.0 * np.exp(z) + 8.0 * np.finfo(float).eps
+    for k in np.linspace(0, len(series) - 1, 9).astype(int):
+        exact = np.sin(0.5 * omega * series.times[k]) ** 2
+        assert abs(series.p_e[k] - exact) <= k * local
