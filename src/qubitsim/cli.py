@@ -99,6 +99,15 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600: give it the target's permissions, or
+        # the ones open() would give a new file under the current umask.
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):

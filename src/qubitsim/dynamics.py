@@ -11,16 +11,16 @@ channel sqrt(delta) sigma_z it also decays as e^{-2 delta t} while the
 populations stay fixed.
 
 Trajectories are integrated with the classical fixed-step 4th-order scheme
-on vec(rho), where the generator is a 4x4 matrix L(t). Because the equation
-is linear, each step is a 4x4 map M[k] built from the generators at the
-start, middle and end of the step. The integrator advances a block of steps
-at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of the
-block's maps and writes all the block's samples with one batched product of
-Q with the sample before the block. A time-independent generator has one map
-P for every step, so one block of powers P^1 .. P^B serves every block. The
-cosine drive splits as L(t) = L0 + cos(omega0 t) L1; its maps are built a
-batch of blocks at a time, and the running products of a batch's blocks are
-formed in lockstep.
+on vec(rho), where the generator is a 4x4 matrix L(t). Every drive mode has
+H(t) = H0 + cos(omega0 t) H1, so L(t) = L0 + cos(omega0 t) L1. Because the
+equation is linear, each step is a 4x4 map M[k] built from the generators at
+the start, middle and end of the step. The integrator advances a block of
+steps at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of
+the block's maps and writes all the block's samples with one batched product
+of Q with the sample before the block. Whenever the drive generator L1
+vanishes, one map P serves every step, so one block of powers P^1 .. P^B
+serves every block. Otherwise the maps are built a batch of blocks at a
+time, and the running products of a batch's blocks are formed in lockstep.
 """
 
 import enum
@@ -168,37 +168,32 @@ class TimeSeries:
         return self.times.size
 
 
+def _hamiltonian_parts(h: QubitHamiltonian):
+    """(H0, H1) with H(t) = H0 + cos(omega0 t) H1; H1 is zero unless the mode is FULL_COSINE.
+
+    NONE has omega_rabi = 0; ROTATING_WAVE has its drive in H0, in the rotating frame.
+    """
+    if h.drive_mode is DriveMode.ROTATING_WAVE:
+        return 0.5 * (h.omega_rabi * SIGMA_X - h.detuning * SIGMA_Z), 0.0 * SIGMA_X
+    return 0.5 * h.epsilon * SIGMA_Z, h.omega_rabi * SIGMA_X
+
+
 def hamiltonian_at(h: QubitHamiltonian, t: float) -> np.ndarray:
     """Hamiltonian matrix at time t for the configured drive mode."""
-    static = 0.5 * h.epsilon * SIGMA_Z
-    if h.drive_mode is DriveMode.NONE:
-        return static
-    if h.drive_mode is DriveMode.FULL_COSINE:
-        return static + h.omega_rabi * np.cos(h.omega0 * t) * SIGMA_X
-    half_detuning = 0.5 * h.detuning
-    half_rabi = 0.5 * h.omega_rabi
-    return np.array(
-        [[-half_detuning, half_rabi], [half_rabi, half_detuning]], dtype=complex
-    )
+    static, drive = _hamiltonian_parts(h)
+    return static + np.cos(h.omega0 * t) * drive
 
 
 def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float):
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise StepSizeError(f"t_max must be positive, got {t_max}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise StepSizeError(f"dt must be positive, got {dt}")
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise StepSizeError(f"{name} must be positive, got {value}")
     if dt > t_max / 10:
         raise StepSizeError(f"dt = {dt} exceeds t_max/10 = {t_max / 10}")
-    if dt * h.frequency_scale >= _STEP_RESOLUTION:
-        raise StepSizeError(
-            f"dt * max(epsilon, omega_rabi, omega0) = {dt * h.frequency_scale} "
-            f"must stay below {_STEP_RESOLUTION}"
-        )
-    for ch in channels:
-        if dt * ch.rate >= _STEP_RESOLUTION:
-            raise StepSizeError(
-                f"dt * channel rate = {dt * ch.rate} must stay below {_STEP_RESOLUTION}"
-            )
+    scales = [("max(epsilon, omega_rabi, omega0)", h.frequency_scale)]
+    for label, rate in scales + [("channel rate", ch.rate) for ch in channels]:
+        if dt * rate >= _STEP_RESOLUTION:
+            raise StepSizeError(f"dt * {label} = {dt * rate} must stay below {_STEP_RESOLUTION}")
 
 
 def _superoperator(h_matrix: np.ndarray, channels) -> np.ndarray:
@@ -256,16 +251,16 @@ def _block_products(h: QubitHamiltonian, channels, dt: float, n_steps: int):
     The products of the last block may run past n_steps; the caller uses
     only the rows it needs.
     """
-    if h.drive_mode is not DriveMode.FULL_COSINE:
-        gen = _superoperator(hamiltonian_at(h, 0.0), channels)
-        step = _rk4_step_map(gen, gen, gen, dt)
+    h_static, h_drive = _hamiltonian_parts(h)
+    static = _superoperator(h_static, channels)
+    drive = _superoperator(h_drive, ())
+    if not drive.any():
+        step = _rk4_step_map(static, static, static, dt)
         block = _block_length(n_steps)
         powers = _running_products(np.broadcast_to(step, (block, 4, 4)))
         for first in range(0, n_steps, block):
             yield first, powers
         return
-    static = _superoperator(0.5 * h.epsilon * SIGMA_Z, channels)
-    drive = _superoperator(h.omega_rabi * SIGMA_X, ())
     batch = _MAP_BLOCK * _BATCH_BLOCKS
     for start in range(0, n_steps, batch):
         n = min(batch, n_steps - start)
@@ -298,36 +293,29 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
     return out
 
 
-def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
-    """Validate every sample against the trajectory tolerances, then record it.
+def _raise_at_first_breach(ok: np.ndarray, measure: np.ndarray, message: str):
+    """Raise at the first step where ok is False, formatting message with its measure.
 
-    Each test asks whether a sample is within tolerance, so that a NaN
-    sample, which compares False with everything, fails it at its step.
+    ok asks whether a sample is within tolerance, so that a NaN sample, which
+    compares False with everything, fails at its step.
     """
-    trace_err = np.abs(traj[:, 0] + traj[:, 3] - 1.0)
-    ok = trace_err <= TRACE_TOL
     if not ok.all():
         idx = int(np.argmin(ok))
-        raise NumericalInstabilityError(
-            f"trace deviated by {trace_err[idx]:.3e} at step {idx}"
-        )
+        raise NumericalInstabilityError(f"{message.format(measure[idx])} at step {idx}")
+
+
+def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
+    """Validate every sample against the trajectory tolerances, then record it."""
+    trace_err = np.abs(traj[:, 0] + traj[:, 3] - 1.0)
+    _raise_at_first_breach(trace_err <= TRACE_TOL, trace_err, "trace deviated by {:.3e}")
     herm_err = np.maximum(
         np.abs(traj[:, 1] - np.conj(traj[:, 2])),
         2.0 * np.maximum(np.abs(traj[:, 0].imag), np.abs(traj[:, 3].imag)),
     )
-    ok = herm_err <= HERMITICITY_TOL
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise NumericalInstabilityError(
-            f"hermiticity deviated by {herm_err[idx]:.3e} at step {idx}"
-        )
+    _raise_at_first_breach(herm_err <= HERMITICITY_TOL, herm_err, "hermiticity deviated by {:.3e}")
     lam_min = _min_eigenvalue_2x2(traj.reshape(-1, 2, 2))
-    ok = lam_min >= POSITIVITY_FLOOR
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise NumericalInstabilityError(
-            f"positivity breached (min eigenvalue {lam_min[idx]:.3e}) at step {idx}"
-        )
+    _raise_at_first_breach(lam_min >= POSITIVITY_FLOOR, lam_min,
+                           "positivity breached (min eigenvalue {:.3e})")
     times = dt * np.arange(traj.shape[0])
     return TimeSeries(
         times=times, p_g=traj[:, 0].real, p_e=traj[:, 3].real, rho01=traj[:, 1].copy()

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +357,45 @@ class TestDeterminismAndOutput:
         code, _, err = run_cli(capsys, self.ARGS + ["--output", str(target)])
         assert code == 4
         assert "error:" in err
+
+    def test_new_output_file_follows_the_umask(self, capsys, tmp_path):
+        target = tmp_path / "run.csv"
+        saved = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, self.ARGS + ["--output", str(target)])
+        finally:
+            os.umask(saved)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_overwritten_output_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "run.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        code, _, _ = run_cli(capsys, self.ARGS + ["--output", str(target)])
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text().startswith("t,p_g,p_e,")
+
+    def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        # A directory cannot be replaced by the output file; a failing chmod
+        # stops the write before the replace.
+        target = tmp_path / "run.csv"
+        target.mkdir()
+        code, _, err = run_cli(capsys, self.ARGS + ["--output", str(target)])
+        assert code == 4
+        assert "error:" in err
+        assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+        def refuse(*args):
+            raise PermissionError("chmod refused")
+
+        monkeypatch.setattr(os, "chmod", refuse)
+        other = tmp_path / "other.csv"
+        code, _, err = run_cli(capsys, self.ARGS + ["--output", str(other)])
+        assert code == 4
+        assert "chmod refused" in err
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestArgumentParsing:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from qubitsim import dynamics
 from qubitsim import (
@@ -106,6 +107,25 @@ class TestQubitHamiltonian:
         )
         assert np.allclose(hamiltonian_at(config, 0.0), [[-0.25, 0.5], [0.5, 0.25]])
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, 12.0, -4.2])
+    def test_matrices_exactly(self, t):
+        def h(mode, omega_rabi=1.5):
+            return QubitHamiltonian(epsilon=2.0, omega_rabi=omega_rabi, omega0=2.5,
+                                    drive_mode=mode)
+
+        drive = 1.5 * np.cos(2.5 * t)
+        expected = [
+            (h(DriveMode.NONE, 0.0), [[1.0, 0.0], [0.0, -1.0]]),
+            (h(DriveMode.FULL_COSINE, 0.0), [[1.0, 0.0], [0.0, -1.0]]),
+            (h(DriveMode.FULL_COSINE), [[1.0, drive], [drive, -1.0]]),
+            # Rotating frame: detuning omega0 - epsilon = 0.5.
+            (h(DriveMode.ROTATING_WAVE), [[-0.25, 0.75], [0.75, 0.25]]),
+        ]
+        for config, matrix in expected:
+            got = hamiltonian_at(config, t)
+            assert got.dtype == complex
+            assert np.array_equal(got, np.array(matrix, dtype=complex))
+
 
 class TestLindbladChannel:
     def test_pure_dephasing_operator(self):
@@ -126,21 +146,46 @@ class TestLindbladChannel:
 
 class TestStepGuards:
     def test_dt_vs_t_max(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError) as excinfo:
             evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0), 1.0, 0.2)
+        assert str(excinfo.value) == "dt = 0.2 exceeds t_max/10 = 0.1"
 
     def test_dt_vs_frequency(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError) as excinfo:
             evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=50.0), 10.0, 0.01)
+        assert str(excinfo.value) == (
+            "dt * max(epsilon, omega_rabi, omega0) = 0.5 must stay below 0.1"
+        )
 
     def test_dt_vs_channel_rate(self):
         channel = LindbladChannel.pure_dephasing(20.0)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError) as excinfo:
             evolve_lindblad(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0), [channel], 10.0, 0.01)
+        # The rate is the top eigenvalue of L^dag L, 20 to within an ulp.
+        assert str(excinfo.value) == "dt * channel rate = 0.20000000000000004 must stay below 0.1"
 
     def test_nonpositive_dt(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError) as excinfo:
             evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0), 10.0, 0.0)
+        assert str(excinfo.value) == "dt must be positive, got 0.0"
+
+    @pytest.mark.parametrize("h, channels, t_max, dt, message", [
+        (QubitHamiltonian(epsilon=1.0), [], -1.0, 0.01, "t_max must be positive, got -1.0"),
+        (QubitHamiltonian(epsilon=1.0), [], np.nan, 0.01, "t_max must be positive, got nan"),
+        (QubitHamiltonian(epsilon=1.0), [], 10.0, np.inf, "dt must be positive, got inf"),
+        # The frequency scale is checked before any channel, and channels in order.
+        (QubitHamiltonian(epsilon=1.0, omega_rabi=2.0, omega0=4.0,
+                          drive_mode=DriveMode.FULL_COSINE),
+         [LindbladChannel(2.0 * SIGMA_Z)], 10.0, 0.05,
+         "dt * max(epsilon, omega_rabi, omega0) = 0.2 must stay below 0.1"),
+        (QubitHamiltonian(epsilon=1.0),
+         [LindbladChannel(0.5 * SIGMA_Z), LindbladChannel(2.0 * SIGMA_Z)],
+         10.0, 0.05, "dt * channel rate = 0.2 must stay below 0.1"),
+    ])
+    def test_exact_messages(self, h, channels, t_max, dt, message):
+        with pytest.raises(StepSizeError) as excinfo:
+            evolve_lindblad(EQUAL_SUPERPOSITION, h, channels, t_max, dt)
+        assert str(excinfo.value) == message
 
 
 class TestClosedEvolution:
@@ -413,6 +458,23 @@ class TestStepMapIntegrator:
             want = reference_stepwise(rho0, h, channels, self.DT, 600)
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_zero_drive_cosine_is_the_static_run(self):
+        # With omega_rabi = 0 the drive generator vanishes, so FULL_COSINE
+        # takes the same path as NONE, bit for bit. Past one batch of driven
+        # maps (4,096 steps) the two paths would block the steps differently.
+        rng = np.random.default_rng(16)
+        for trial in range(3):
+            epsilon, omega0 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
+            channels = random_channels(rng)[: trial + 1]
+            rho0 = random_density(rng).matrix
+            runs = [
+                _integrate_static(rho0, QubitHamiltonian(epsilon=epsilon, omega0=omega0,
+                                                         drive_mode=mode),
+                                  channels, self.DT, 5000)
+                for mode in (DriveMode.FULL_COSINE, DriveMode.NONE)
+            ]
+            assert runs[0].tobytes() == runs[1].tobytes()
+
     def test_cosine_drive_crosses_map_blocks(self, monkeypatch):
         # Batches of 7 steps over 50 steps: a partial last block and a clock
         # that must carry across block boundaries.
@@ -534,21 +596,120 @@ def test_dephasing_matches_closed_form(epsilon, delta, p_e, radius, phase, t_max
         assert abs(series.p_g[k] - exact[0, 0].real) <= bound
 
 
+@given(
+    epsilon=st.floats(0.0, 5.0),
+    gamma=st.floats(0.0, 2.0),
+    delta=st.floats(0.0, 2.0),
+    p_e=st.floats(0.0, 1.0),
+    radius=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    t_max=st.floats(0.5, 10.0),
+    step_fraction=st.floats(0.01, 0.99),
+)
+def test_amplitude_damping_matches_closed_form(epsilon, gamma, delta, p_e, radius, phase,
+                                               t_max, step_fraction):
+    coherence = radius * np.sqrt(p_e * (1.0 - p_e)) * np.exp(1j * phase)
+    rho0 = DensityMatrix([[1.0 - p_e, coherence], [np.conj(coherence), p_e]])
+    channels = [LindbladChannel(np.sqrt(gamma) * SIGMA_MINUS),
+                LindbladChannel.pure_dephasing(delta)]
+    # dt inside the step guard: both channel rates, gamma and delta, count.
+    scale = max(epsilon, gamma, delta, 1e-300)
+    dt = step_fraction * min(t_max / 10.0, dynamics._STEP_RESOLUTION / scale)
+    series = evolve_lindblad(rho0, QubitHamiltonian(epsilon=epsilon), channels, t_max, dt)
+    # p_e and rho01 each evolve on their own, at the generator eigenvalues
+    # -gamma and -(gamma/2 + 2 delta) - i epsilon. As in the dephasing test,
+    # each RK4 step is off from e^z by at most |z|^5/120 e^|z| of the
+    # starting value, so after k steps by k times that; p_g = 1 - p_e shares
+    # the error of p_e. A few ulps per step allow for rounding.
+    eps = np.finfo(float).eps
+    z_pop = gamma * dt
+    z_coh = abs(complex(0.5 * gamma + 2.0 * delta, epsilon)) * dt
+    local_pop = p_e * z_pop**5 / 120.0 * np.exp(z_pop) + 8.0 * eps
+    local_coh = abs(coherence) * z_coh**5 / 120.0 * np.exp(z_coh) + 8.0 * eps
+    for k in np.linspace(0, len(series) - 1, 9).astype(int):
+        t = series.times[k]
+        exact_p_e = p_e * np.exp(-gamma * t)
+        exact_rho01 = (coherence * np.exp(-(0.5 * gamma + 2.0 * delta) * t)
+                       * np.exp(-1j * epsilon * t))
+        assert abs(series.p_e[k] - exact_p_e) <= k * local_pop
+        assert abs(series.p_g[k] - (1.0 - exact_p_e)) <= k * local_pop
+        assert abs(series.rho01[k] - exact_rho01) <= k * local_coh
+
+
+def master_equation(epsilon, omega_rabi, omega0, operators):
+    """Right-hand side of the 2x2 master equation under a cosine drive, on flattened rho."""
+    s_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    s_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def rhs(t, y):
+        rho = y.reshape(2, 2)
+        h = 0.5 * epsilon * s_z + omega_rabi * np.cos(omega0 * t) * s_x
+        out = -1j * (h @ rho - rho @ h)
+        for op in operators:
+            op_dag = op.conj().T
+            out = out + op @ rho @ op_dag - 0.5 * (op_dag @ op @ rho + rho @ op_dag @ op)
+        return out.reshape(4)
+
+    return rhs
+
+
+@pytest.mark.parametrize("operators", [
+    (),
+    (np.sqrt(0.3) * SIGMA_MINUS, np.sqrt(0.2) * np.array([[1.0, 0.0], [0.0, -1.0]])),
+])
+def test_full_cosine_matches_scipy(operators):
+    # An independent integrator on the master equation written out above:
+    # DOP853 at tolerances far below the RK4 error, so the difference is the
+    # RK4 error, and halving dt must cut it about 16-fold.
+    epsilon, omega_rabi, omega0, t_max = 2.0, 1.0, 2.0, 3.0
+    rho0 = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+    h = QubitHamiltonian(epsilon=epsilon, omega_rabi=omega_rabi, omega0=omega0,
+                         drive_mode=DriveMode.FULL_COSINE)
+    channels = [LindbladChannel(op) for op in operators]
+    rhs = master_equation(epsilon, omega_rabi, omega0, operators)
+
+    def error(dt):
+        series = evolve_lindblad(rho0, h, channels, t_max, dt)
+        ref = solve_ivp(rhs, (0.0, series.times[-1]), rho0.reshape(4).astype(complex),
+                        method="DOP853", t_eval=series.times, rtol=1e-12, atol=1e-13)
+        assert ref.success
+        got = np.stack([series.p_g, series.rho01, series.rho01.conj(), series.p_e])
+        return np.max(np.abs(got - ref.y))
+
+    coarse, fine = error(0.01), error(0.005)
+    assert fine <= 1e-9
+    assert coarse / fine >= 12.0
+
+
 class TestTrajectoryMonitoring:
     def test_trace_breach_detected(self):
         bad = np.array([[0.6 + 0j, 0.0, 0.0, 0.6]])
-        with pytest.raises(NumericalInstabilityError):
+        with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
+        assert str(excinfo.value) == "trace deviated by 2.000e-01 at step 0"
 
     def test_hermiticity_breach_detected(self):
         bad = np.array([[0.5 + 0j, 0.3, 0.1, 0.5]])
-        with pytest.raises(NumericalInstabilityError):
+        with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
+        assert str(excinfo.value) == "hermiticity deviated by 2.000e-01 at step 0"
 
     def test_positivity_breach_detected(self):
         bad = np.array([[0.5 + 0j, 0.6, 0.6, 0.5]])
-        with pytest.raises(NumericalInstabilityError):
+        with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
+        assert str(excinfo.value) == "positivity breached (min eigenvalue -1.000e-01) at step 0"
+
+    def test_later_measures_wait_for_earlier_checks(self, monkeypatch):
+        # A trace breach is reported before the eigenvalues are computed.
+        def refuse(mats):
+            raise AssertionError("eigenvalues computed after a failed check")
+
+        monkeypatch.setattr(dynamics, "_min_eigenvalue_2x2", refuse)
+        with pytest.raises(NumericalInstabilityError, match="^trace "):
+            _series_from_trajectory(np.array([[0.6 + 0j, 0.0, 0.0, 0.6]]), 0.1)
+        with pytest.raises(NumericalInstabilityError, match="^hermiticity "):
+            _series_from_trajectory(np.array([[0.5 + 0j, 0.3, 0.1, 0.5]]), 0.1)
 
     @pytest.mark.parametrize("entries, check", [
         ((np.nan, 0.0, 0.0, 0.5), "trace"),

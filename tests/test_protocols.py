@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubitsim import (
     BELL_BASIS,
@@ -23,7 +25,12 @@ from qubitsim import (
     superdense_encode,
     superdense_success_probability,
 )
-from qubitsim.dynamics import LindbladChannel, pure_dephasing_analytic
+from qubitsim.dynamics import (
+    LindbladChannel,
+    QubitHamiltonian,
+    evolve_lindblad,
+    pure_dephasing_analytic,
+)
 from qubitsim.protocols import _superdense_probabilities
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -143,6 +150,35 @@ class TestRamseyScan:
         slope = np.polyfit(crests, np.log(contrast), 1)[0]
         assert slope == pytest.approx(-2.0 * rate, rel=0.02)
         assert np.max(series.p_e) <= 1.0 + 1e-12
+
+
+@given(
+    delta_split=st.floats(0.0, 5.0),
+    dephasing_rate=st.floats(0.0, 2.0),
+    tau_max=st.floats(0.5, 10.0),
+    step_fraction=st.floats(0.01, 0.99),
+)
+def test_scan_matches_pulses_around_the_dynamics(delta_split, dephasing_rate, tau_max,
+                                                 step_fraction):
+    # The sequence run for real: a pi/2 y-rotation of |g>, free evolution
+    # under H = (delta_split/2) sigma_z and dephasing from the integrator,
+    # then the second rotation, sample by sample.
+    dt = step_fraction * min(tau_max / 10.0, 0.1 / max(delta_split, dephasing_rate, 1e-300))
+    first = ROT_Y_HALF_PI @ np.diag([1.0, 0.0]) @ ROT_Y_HALF_PI.T
+    free = evolve_lindblad(DensityMatrix(first), QubitHamiltonian(epsilon=delta_split),
+                           [LindbladChannel.pure_dephasing(dephasing_rate)], tau_max, dt)
+    rho = np.array([[free.p_g, free.rho01], [free.rho01.conj(), free.p_e]]).transpose(2, 0, 1)
+    final = ROT_Y_HALF_PI @ rho @ ROT_Y_HALF_PI.T
+    scan = ramsey_scan(RamseyConfig(delta_split, free.times[-1], len(free), dephasing_rate))
+    # The free coherence, 1/2 at the start, is off by at most |z|^5/120 e^|z|
+    # of it per RK4 step (z = (2 rate + i split) dt, as in the dephasing
+    # oracle), and the second pulse moves that error into p_e and rho01 at
+    # most one for one. The pulses and the closed form round a few ulps.
+    z = abs(complex(2.0 * dephasing_rate, delta_split)) * dt
+    local = 0.5 * z**5 / 120.0 * np.exp(z) + 8.0 * np.finfo(float).eps
+    for k in np.linspace(0, len(free) - 1, 9).astype(int):
+        assert abs(final[k, 1, 1].real - scan.p_e[k]) <= (k + 1) * local
+        assert abs(final[k, 0, 1] - scan.rho01[k]) <= (k + 1) * local
 
 
 class TestRabiWithDephasing:
