@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -95,19 +94,14 @@ def _render_json(document) -> str:
 
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".qubitsim-", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".qubitsim-{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 gets the umask applied, as open() gives a new file.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
-        # mkstemp creates the file 0600: give it the target's permissions, or
-        # the ones open() would give a new file under the current umask.
-        try:
-            mode = os.stat(path).st_mode & 0o777
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp_path, mode)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp_path, os.stat(path).st_mode & 0o777)  # a replaced file keeps its mode
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -19,7 +19,7 @@ steps at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of
 the block's maps and writes all the block's samples with one batched product
 of Q with the sample before the block. Whenever the drive generator L1
 vanishes, one map P serves every step, so one block of powers P^1 .. P^B
-serves every block. Otherwise the maps are built a batch of blocks at a
+serves every block. Otherwise the maps are built a batch of steps at a
 time, and the running products of a batch's blocks are formed in lockstep.
 """
 
@@ -43,13 +43,9 @@ POSITIVITY_FLOOR = -1e-8
 
 _STEP_RESOLUTION = 0.1  # dt * (fastest angular frequency or rate) must stay below this
 
-# The integrator advances a block of steps per batched product. Blocks are
-# at most this many steps long; their running step-map products are held
-# in memory at once.
-_MAP_BLOCK = 256
-# Driven step maps are built _MAP_BLOCK * _BATCH_BLOCKS (4096) at a time,
-# so memory stays bounded for long runs.
-_BATCH_BLOCKS = 16
+# Driven step maps are built this many at a time, so memory stays bounded
+# for long runs.
+_DRIVEN_BATCH = 4096
 
 
 def _check_dephasing_rate(delta: float):
@@ -79,6 +75,7 @@ class QubitHamiltonian:
     drive_mode: DriveMode = DriveMode.NONE
 
     def __post_init__(self):
+        object.__setattr__(self, "drive_mode", DriveMode(self.drive_mode))
         for name in ("epsilon", "omega_rabi", "omega0"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -132,10 +129,11 @@ class TimeSeries:
     rho01: np.ndarray
 
     def __post_init__(self):
-        times = _readonly(np.asarray(self.times, dtype=float))
-        p_g = _readonly(np.asarray(self.p_g, dtype=float))
-        p_e = _readonly(np.asarray(self.p_e, dtype=float))
-        rho01 = _readonly(np.asarray(self.rho01, dtype=complex))
+        # Read-only views: no samples are copied, and the caller's arrays stay writeable.
+        times = _readonly(np.asarray(self.times, dtype=float).view())
+        p_g = _readonly(np.asarray(self.p_g, dtype=float).view())
+        p_e = _readonly(np.asarray(self.p_e, dtype=float).view())
+        rho01 = _readonly(np.asarray(self.rho01, dtype=complex).view())
         n = times.size
         if not (p_g.size == p_e.size == rho01.size == n):
             raise ValueError("all trajectory columns must have the same length")
@@ -222,13 +220,13 @@ def _rk4_step_map(l_start, l_mid, l_end, dt: float) -> np.ndarray:
 
 
 def _block_length(n_steps: int) -> int:
-    """Steps per block for a run of n_steps: about sqrt(n_steps), at most _MAP_BLOCK.
+    """Steps per block for a run of n_steps: about sqrt(n_steps).
 
     Forming a block's products takes one Python-level product per step of
     the block and applying them one per block, so sqrt(n_steps) makes the
-    fewest calls; the cap bounds the memory of one block.
+    fewest calls.
     """
-    return min(_MAP_BLOCK, math.isqrt(n_steps - 1) + 1)
+    return math.isqrt(n_steps - 1) + 1
 
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
@@ -261,9 +259,8 @@ def _block_products(h: QubitHamiltonian, channels, dt: float, n_steps: int):
         for first in range(0, n_steps, block):
             yield first, powers
         return
-    batch = _MAP_BLOCK * _BATCH_BLOCKS
-    for start in range(0, n_steps, batch):
-        n = min(batch, n_steps - start)
+    for start in range(0, n_steps, _DRIVEN_BATCH):
+        n = min(_DRIVEN_BATCH, n_steps - start)
         block = _block_length(n)
         n_blocks = -(-n // block)
         # Step start + b * block + j sits at [j, b]: the lockstep products

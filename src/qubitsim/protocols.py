@@ -120,7 +120,7 @@ def fringe_frequency(series: TimeSeries) -> float:
     interpolation of the neighboring magnitudes.
     """
     n = len(series)
-    if n < 4 or series.dt is None:
+    if n < 4:
         raise SamplingError("need at least 4 uniform samples to estimate a frequency")
     values = series.p_e - np.mean(series.p_e)
     n_fft = 8 * n
@@ -165,12 +165,6 @@ def figure_of_merit(delta: float, omega: float) -> float:
     return delta / omega
 
 
-def _validate_message(message: str) -> str:
-    if message not in MESSAGES:
-        raise DomainError(f"message must be one of {MESSAGES}, got {message!r}")
-    return message
-
-
 def superdense_encode(message: str) -> Ket:
     """Two-qubit state carrying the message, made by a local operation.
 
@@ -178,7 +172,9 @@ def superdense_encode(message: str) -> Ket:
     to her qubit: identity for 00, sigma_z for 01, sigma_x for 10, and
     sigma_z sigma_x for 11. The four outputs are pairwise orthogonal.
     """
-    op = _ENCODING_OPS[_validate_message(message)]
+    if message not in MESSAGES:
+        raise DomainError(f"message must be one of {MESSAGES}, got {message!r}")
+    op = _ENCODING_OPS[message]
     shared = BELL_BASIS[0].amplitudes
     return Ket(np.kron(op, _IDENTITY) @ shared)
 

@@ -41,10 +41,27 @@ class BlochAngles:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
-class Ket:
+class _State:
+    """Read-only numpy data of a one- or two-qubit state: amplitudes or a matrix."""
+
+    __slots__ = ("_data",)
+
+    @property
+    def dim(self) -> int:
+        return self._data.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return 1 if self.dim == 2 else 2
+
+    def __repr__(self):
+        return f"{type(self).__name__}({np.array2string(self._data, separator=', ')})"
+
+
+class Ket(_State):
     """Normalized complex amplitude vector for one or two qubits."""
 
-    __slots__ = ("_amplitudes",)
+    __slots__ = ()
 
     def __init__(self, amplitudes):
         arr = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -59,28 +76,17 @@ class Ket:
             raise InvalidStateError(
                 f"ket is not normalized: sum |a_i|^2 = {norm_sq!r}"
             )
-        self._amplitudes = _readonly(arr)
+        self._data = _readonly(arr)
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return self._amplitudes
-
-    @property
-    def dim(self) -> int:
-        return self._amplitudes.size
-
-    @property
-    def n_qubits(self) -> int:
-        return 1 if self.dim == 2 else 2
-
-    def __repr__(self):
-        return f"Ket({np.array2string(self._amplitudes, separator=', ')})"
+        return self._data
 
 
-class DensityMatrix:
+class DensityMatrix(_State):
     """Hermitian, unit-trace, positive-semidefinite state operator."""
 
-    __slots__ = ("_matrix",)
+    __slots__ = ()
 
     def __init__(self, elements):
         mat = np.array(elements, dtype=complex)
@@ -103,22 +109,11 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"density matrix is not positive semidefinite (min eigenvalue {lam_min:.3e})"
             )
-        self._matrix = _readonly(mat)
+        self._data = _readonly(mat)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return 1 if self.dim == 2 else 2
-
-    def __repr__(self):
-        return f"DensityMatrix({np.array2string(self._matrix, separator=', ')})"
+        return self._data
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:
@@ -198,15 +193,11 @@ def tensor(a, b):
     Both arguments must be Kets or both DensityMatrix instances; the result
     is the corresponding two-qubit object.
     """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        if a.dim != 2 or b.dim != 2:
-            raise DimensionError("tensor supports single-qubit factors only (result capped at dim 4)")
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if a.dim != 2 or b.dim != 2:
-            raise DimensionError("tensor supports single-qubit factors only (result capped at dim 4)")
-        return DensityMatrix(np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor expects two Kets or two DensityMatrix operands")
+    if not (isinstance(a, _State) and type(b) is type(a)):
+        raise TypeError("tensor expects two Kets or two DensityMatrix operands")
+    if a.dim != 2 or b.dim != 2:
+        raise DimensionError("tensor supports single-qubit factors only (result capped at dim 4)")
+    return type(a)(np.kron(a._data, b._data))
 
 
 def partial_trace_env(rho) -> DensityMatrix:

@@ -368,6 +368,19 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
+    def test_new_output_file_mode_needs_no_umask_call(self, capsys, tmp_path, monkeypatch):
+        umask = os.umask(0)
+        os.umask(umask)
+
+        def refuse(*args):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        target = tmp_path / "run.csv"
+        code, _, _ = run_cli(capsys, self.ARGS + ["--output", str(target)])
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
     def test_overwritten_output_file_keeps_its_mode(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         target.write_text("old\n")
@@ -379,7 +392,7 @@ class TestDeterminismAndOutput:
 
     def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
         # A directory cannot be replaced by the output file; a failing chmod
-        # stops the write before the replace.
+        # of the copy of an existing file's mode stops the write before the replace.
         target = tmp_path / "run.csv"
         target.mkdir()
         code, _, err = run_cli(capsys, self.ARGS + ["--output", str(target)])
@@ -390,12 +403,14 @@ class TestDeterminismAndOutput:
         def refuse(*args):
             raise PermissionError("chmod refused")
 
-        monkeypatch.setattr(os, "chmod", refuse)
         other = tmp_path / "other.csv"
+        other.write_text("old\n")
+        monkeypatch.setattr(os, "chmod", refuse)
         code, _, err = run_cli(capsys, self.ARGS + ["--output", str(other)])
         assert code == 4
         assert "chmod refused" in err
-        assert list(tmp_path.iterdir()) == [target]
+        assert sorted(tmp_path.iterdir()) == [other, target]
+        assert other.read_text() == "old\n"
 
 
 class TestArgumentParsing:

@@ -84,6 +84,25 @@ class TestQubitHamiltonian:
         with pytest.raises(ValueError):
             QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, drive_mode=DriveMode.NONE)
 
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    def test_string_modes_run_as_the_enum(self, mode):
+        def run(drive_mode):
+            h = QubitHamiltonian(epsilon=2.0, omega_rabi=0.0 if mode is DriveMode.NONE else 1.2,
+                                 omega0=2.3, drive_mode=drive_mode)
+            return _integrate_static(EQUAL_SUPERPOSITION.matrix, h,
+                                     [LindbladChannel.pure_dephasing(0.2)], 0.01, 300)
+
+        assert QubitHamiltonian(epsilon=1.0, omega0=1.0, drive_mode=mode.value).drive_mode is mode
+        assert run(mode.value).tobytes() == run(mode).tobytes()
+
+    def test_string_none_means_no_rabi(self):
+        with pytest.raises(ValueError, match="drive_mode NONE requires omega_rabi = 0"):
+            QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, omega0=1.0, drive_mode="none")
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="bogus"):
+            QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, omega0=1.0, drive_mode="bogus")
+
     def test_static_matrix(self):
         h = hamiltonian_at(QubitHamiltonian(epsilon=2.0), t=123.4)
         assert np.allclose(h, [[1.0, 0.0], [0.0, -1.0]])
@@ -475,10 +494,10 @@ class TestStepMapIntegrator:
             ]
             assert runs[0].tobytes() == runs[1].tobytes()
 
-    def test_cosine_drive_crosses_map_blocks(self, monkeypatch):
-        # Batches of 7 steps over 50 steps: a partial last block and a clock
+    def test_cosine_drive_crosses_map_blocks(self):
+        # Blocks of 8 steps over 50 steps: a partial last block and a clock
         # that must carry across block boundaries.
-        monkeypatch.setattr(dynamics, "_MAP_BLOCK", 7)
+        assert dynamics._block_length(50) == 8
         h = QubitHamiltonian(
             epsilon=2.0, omega_rabi=1.5, omega0=2.5, drive_mode=DriveMode.FULL_COSINE
         )
@@ -524,14 +543,13 @@ class TestBlockedIntegrator:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("mode", list(DriveMode))
-    @pytest.mark.parametrize("cap, n_steps", [
-        # Next to the block cap, and next to its square with the cap made
-        # small, where blocks stop growing with sqrt(n_steps).
-        *[(dynamics._MAP_BLOCK, dynamics._MAP_BLOCK + d) for d in (-1, 0, 1)],
-        (8, 63), (8, 64), (8, 65),
+    @pytest.mark.parametrize("root, n_steps", [
+        # Next to the squares 8^2 and 16^2, where the block length steps up
+        # from the root: blocks that fill the run exactly, and a short last one.
+        (8, 63), (8, 64), (8, 65), (16, 255), (16, 256), (16, 257),
     ])
-    def test_runs_next_to_the_block_cap(self, mode, cap, n_steps, monkeypatch):
-        monkeypatch.setattr(dynamics, "_MAP_BLOCK", cap)
+    def test_runs_next_to_the_block_cap(self, mode, root, n_steps):
+        assert dynamics._block_length(n_steps) == root + (n_steps > root * root)
         rng = np.random.default_rng(14)
         h = QubitHamiltonian(
             epsilon=2.0,
@@ -547,9 +565,9 @@ class TestBlockedIntegrator:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_cosine_drive_crosses_map_batches(self, monkeypatch):
-        # Blocks of at most 5 steps, batches of 80 maps: three full batches
-        # and a last one of 10 steps in blocks of 4.
-        monkeypatch.setattr(dynamics, "_MAP_BLOCK", 5)
+        # Batches of 80 maps: three full batches in blocks of 9 steps and a
+        # last one of 10 steps in blocks of 4.
+        monkeypatch.setattr(dynamics, "_DRIVEN_BATCH", 80)
         rng = np.random.default_rng(15)
         h = QubitHamiltonian(
             epsilon=2.0, omega_rabi=1.5, omega0=2.5, drive_mode=DriveMode.FULL_COSINE
@@ -814,6 +832,18 @@ class TestTimeSeries:
                 p_e=np.ones(3),
                 rho01=np.zeros(3, dtype=complex),
             )
+
+    def test_leaves_the_callers_arrays_writeable(self):
+        columns = {
+            "times": np.array([0.0, 1.0, 2.0]), "p_g": np.full(3, 0.5),
+            "p_e": np.full(3, 0.5), "rho01": np.zeros(3, dtype=complex),
+        }
+        series = TimeSeries(**columns)
+        for name, array in columns.items():
+            assert array.flags.writeable
+            assert not getattr(series, name).flags.writeable
+            assert np.shares_memory(getattr(series, name), array)
+        columns["times"][0] = 5.0
 
     def test_grid_properties(self):
         series = evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=0.5), 1.0, 0.1)

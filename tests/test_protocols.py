@@ -290,8 +290,9 @@ class TestSuperdenseEncoding:
                 assert abs(np.vdot(encoded[i], encoded[j])) < 1e-12
 
     def test_rejects_bad_message(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as excinfo:
             superdense_encode("2")
+        assert str(excinfo.value) == "message must be one of ('00', '01', '10', '11'), got '2'"
 
 
 class TestSuperdenseDecoding:

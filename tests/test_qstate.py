@@ -233,6 +233,50 @@ class TestTensor:
         with pytest.raises(TypeError):
             tensor(Ket([1.0, 0.0]), DensityMatrix([[1, 0], [0, 0]]))
 
+    def test_two_kets_exactly(self):
+        out = tensor(Ket([0.6, 0.8j]), Ket([INV_SQRT2, -INV_SQRT2]))
+        assert type(out) is Ket
+        assert np.array_equal(out.amplitudes, np.kron([0.6, 0.8j], [INV_SQRT2, -INV_SQRT2]))
+
+    def test_two_density_matrices_exactly(self):
+        a = [[0.75, 0.25j], [-0.25j, 0.25]]
+        b = [[0.5, 0.5], [0.5, 0.5]]
+        out = tensor(DensityMatrix(a), DensityMatrix(b))
+        assert type(out) is DensityMatrix
+        assert np.array_equal(out.matrix, np.kron(np.array(a, dtype=complex), b))
+
+    def test_rejects_two_qubit_density_factor(self):
+        with pytest.raises(DimensionError, match=r"^tensor supports single-qubit factors only "
+                                                 r"\(result capped at dim 4\)$"):
+            tensor(DensityMatrix(np.eye(4) / 4), DensityMatrix(np.eye(2) / 2))
+
+    def test_rejects_plain_arrays_with_message(self):
+        with pytest.raises(TypeError) as excinfo:
+            tensor(np.eye(2), np.eye(2))
+        assert str(excinfo.value) == "tensor expects two Kets or two DensityMatrix operands"
+
+
+class TestStateMembers:
+    """repr, dim and n_qubits of both state types."""
+
+    @pytest.mark.parametrize("state, text, dim, n_qubits", [
+        (Ket([1.0, 0.0]), "Ket([1.+0.j, 0.+0.j])", 2, 1),
+        (Ket([0.6, 0.8j]), "Ket([0.6+0.j , 0. +0.8j])", 2, 1),
+        (Ket([INV_SQRT2, 0.0, 0.0, INV_SQRT2]),
+         "Ket([0.70710678+0.j, 0.        +0.j, 0.        +0.j, 0.70710678+0.j])", 4, 2),
+        (DensityMatrix([[0.75, 0.25j], [-0.25j, 0.25]]),
+         "DensityMatrix([[ 0.75+0.j  ,  0.  +0.25j],\n [-0.  -0.25j,  0.25+0.j  ]])", 2, 1),
+        (DensityMatrix(np.eye(4) / 4),
+         "DensityMatrix([[0.25+0.j, 0.  +0.j, 0.  +0.j, 0.  +0.j],\n"
+         " [0.  +0.j, 0.25+0.j, 0.  +0.j, 0.  +0.j],\n"
+         " [0.  +0.j, 0.  +0.j, 0.25+0.j, 0.  +0.j],\n"
+         " [0.  +0.j, 0.  +0.j, 0.  +0.j, 0.25+0.j]])", 4, 2),
+    ])
+    def test_repr_dim_and_qubits(self, state, text, dim, n_qubits):
+        assert repr(state) == text
+        assert state.dim == dim
+        assert state.n_qubits == n_qubits
+
 
 class TestPartialTrace:
     def test_branch_state_loses_coherence(self):
