@@ -140,8 +140,10 @@ def _handle_interference(args):
     state = PhotonState(a, b, args.phi)
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
-    if not args.x_max > args.x_min:
+    if args.x_max <= args.x_min:
         raise DomainError("--x-max must exceed --x-min")
+    if not math.isfinite(args.x_max - args.x_min):
+        raise DomainError(f"--x-max - --x-min must be finite, got {args.x_max} - {args.x_min}")
     x = np.linspace(args.x_min, args.x_max, args.points)
     intensity = quantum_intensity(state, geom.phase_difference(x))
     columns = [("x", x), ("intensity", intensity)]
@@ -155,8 +157,7 @@ def _handle_ramsey(args):
         n_points=args.points,
         dephasing_rate=args.dephasing_rate,
     )
-    series = ramsey_scan(cfg)
-    columns = _series_columns(series)
+    columns = _series_columns(ramsey_scan(cfg))
     return columns, lambda: _columns_json(columns)
 
 
@@ -185,8 +186,7 @@ def _handle_dephasing(args):
     rho0 = _dephasing_start(args)
     h = QubitHamiltonian(epsilon=args.epsilon)
     channel = LindbladChannel.pure_dephasing(args.delta)
-    series = evolve_lindblad(rho0, h, (channel,), args.t_max, args.dt)
-    columns = _series_columns(series)
+    columns = _series_columns(evolve_lindblad(rho0, h, (channel,), args.t_max, args.dt))
     return columns, lambda: _columns_json(columns)
 
 

@@ -53,6 +53,15 @@ def _check_dephasing_rate(delta: float):
         raise DomainError(f"dephasing rate must be non-negative, got {delta}")
 
 
+def _coherence_decay(delta, t):
+    """Factor e^{-2 delta t} that pure dephasing at rate delta puts on a coherence by time t.
+
+    delta * t comes first, so t = 0 gives 1 for any finite delta; past the float range, 0.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-2.0 * (delta * t))
+
+
 class DriveMode(enum.Enum):
     NONE = "none"
     FULL_COSINE = "full_cosine"
@@ -130,27 +139,24 @@ class TimeSeries:
 
     def __post_init__(self):
         # Read-only views: no samples are copied, and the caller's arrays stay writeable.
-        times = _readonly(np.asarray(self.times, dtype=float).view())
-        p_g = _readonly(np.asarray(self.p_g, dtype=float).view())
-        p_e = _readonly(np.asarray(self.p_e, dtype=float).view())
-        rho01 = _readonly(np.asarray(self.rho01, dtype=complex).view())
-        n = times.size
-        if not (p_g.size == p_e.size == rho01.size == n):
+        for name, dtype in (("times", float), ("p_g", float), ("p_e", float), ("rho01", complex)):
+            view = _readonly(np.asarray(getattr(self, name), dtype=dtype).view())
+            object.__setattr__(self, name, view)
+        n = self.times.size
+        if not (self.p_g.size == self.p_e.size == self.rho01.size == n):
             raise ValueError("all trajectory columns must have the same length")
         if n >= 2:
             # Both tests ask whether the grid is within tolerance, so that a
             # NaN time, which compares False with everything, fails them.
-            steps = np.diff(times)
+            steps = np.diff(self.times)
             dt = steps[0]
             if not dt > 0:
                 raise ValueError("sample times must be strictly increasing")
             if not np.max(np.abs(steps - dt)) <= 1e-9 * max(1.0, abs(dt)):
                 raise ValueError("sample times must be uniformly spaced")
-        for name, value in (("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
-            if not np.isfinite(value).all():
+        for name in ("p_g", "p_e", "rho01"):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} values must be finite")
-        for name, value in (("times", times), ("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
-            object.__setattr__(self, name, value)
 
     @property
     def t0(self) -> float:
@@ -243,22 +249,32 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
     return prods
 
 
-def _block_products(h: QubitHamiltonian, channels, dt: float, n_steps: int):
-    """Iterator over (first step, running step-map products of its block).
+def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float, n_steps: int):
+    """Trajectory of vec(rho0) under the step maps of every drive mode, one row per sample.
 
-    The products of the last block may run past n_steps; the caller uses
-    only the rows it needs.
+    Each block of rows is one product of the block's running step maps,
+    stacked into a (4 m) x 4 matrix, with the row before the block; numpy
+    does that faster than m separate 4x4 products. The name predates the
+    driven case; tests and the benchmark tracer reach the integrator by it.
     """
+    out = np.empty((n_steps + 1, 4), dtype=complex)
+    out[0] = rho0.reshape(4)
+
+    def advance(first, prods):
+        # The last block's products may run past n_steps; only the rows needed are used.
+        last = min(first + prods.shape[0], n_steps)
+        np.matmul(prods[: last - first].reshape(-1, 4), out[first],
+                  out=out[first + 1 : last + 1].reshape(-1))
+
     h_static, h_drive = _hamiltonian_parts(h)
     static = _superoperator(h_static, channels)
     drive = _superoperator(h_drive, ())
     if not drive.any():
         step = _rk4_step_map(static, static, static, dt)
-        block = _block_length(n_steps)
-        powers = _running_products(np.broadcast_to(step, (block, 4, 4)))
-        for first in range(0, n_steps, block):
-            yield first, powers
-        return
+        powers = _running_products(np.broadcast_to(step, (_block_length(n_steps), 4, 4)))
+        for first in range(0, n_steps, powers.shape[0]):
+            advance(first, powers)
+        return out
     for start in range(0, n_steps, _DRIVEN_BATCH):
         n = min(_DRIVEN_BATCH, n_steps - start)
         block = _block_length(n)
@@ -270,23 +286,7 @@ def _block_products(h: QubitHamiltonian, channels, dt: float, n_steps: int):
                 for at in (t, t + 0.5 * dt, t + dt)]
         prods = _running_products(_rk4_step_map(*gens, dt))
         for b in range(n_blocks):
-            yield start + b * block, prods[:, b]
-
-
-def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float, n_steps: int):
-    """Trajectory of vec(rho0) under the step maps of every drive mode, one row per sample.
-
-    Each block of rows is one product of the block's running step maps,
-    stacked into a (4 m) x 4 matrix, with the row before the block; numpy
-    does that faster than m separate 4x4 products. The name predates the
-    driven case; tests and the benchmark tracer reach the integrator by it.
-    """
-    out = np.empty((n_steps + 1, 4), dtype=complex)
-    out[0] = rho0.reshape(4)
-    for first, prods in _block_products(h, channels, dt, n_steps):
-        last = min(first + prods.shape[0], n_steps)
-        np.matmul(prods[: last - first].reshape(-1, 4), out[first],
-                  out=out[first + 1 : last + 1].reshape(-1))
+            advance(start + b * block, prods[:, b])
     return out
 
 
@@ -365,11 +365,9 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
     """
     _check_dephasing_rate(delta)
     mat = _as_density(rho0).matrix
-    factor = np.exp(-2.0 * delta * t) * np.exp(-1j * epsilon * t)
+    factor = _coherence_decay(delta, t) * np.exp(-1j * epsilon * t)
     upper = mat[0, 1] * factor
-    return DensityMatrix(
-        [[mat[0, 0], upper], [np.conj(upper), mat[1, 1]]]
-    )
+    return DensityMatrix([[mat[0, 0], upper], [np.conj(upper), mat[1, 1]]])
 
 
 def dephasing_time(delta: float) -> float:

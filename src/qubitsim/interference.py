@@ -29,12 +29,10 @@ class SlitGeometry:
     screen_distance: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise GeometryError(f"wavenumber must be positive, got {self.k}")
-        if not (np.isfinite(self.slit_spacing) and self.slit_spacing > 0):
-            raise GeometryError(f"slit spacing must be positive, got {self.slit_spacing}")
-        if not (np.isfinite(self.screen_distance) and self.screen_distance > 0):
-            raise GeometryError(f"screen distance must be positive, got {self.screen_distance}")
+        for label, value in (("wavenumber", self.k), ("slit spacing", self.slit_spacing),
+                             ("screen distance", self.screen_distance)):
+            if not (np.isfinite(value) and value > 0):
+                raise GeometryError(f"{label} must be positive, got {value}")
         if self.slit_spacing / self.screen_distance >= 0.1:
             raise GeometryError(
                 "far-field approximation requires slit_spacing / screen_distance < 0.1, "

@@ -26,20 +26,13 @@ from .dynamics import (
     QubitHamiltonian,
     TimeSeries,
     _check_dephasing_rate,
+    _coherence_decay,
     evolve_lindblad,
 )
 from .errors import DomainError, SamplingError
 from .qstate import DensityMatrix, Ket, _as_density, density_from_ket
 
 MESSAGES = ("00", "01", "10", "11")
-
-# Entangled two-qubit basis, ordered to match MESSAGES.
-BELL_BASIS = (
-    Ket(np.array([1, 0, 0, 1]) / np.sqrt(2)),   # (|00> + |11>)/sqrt(2)
-    Ket(np.array([1, 0, 0, -1]) / np.sqrt(2)),  # (|00> - |11>)/sqrt(2)
-    Ket(np.array([0, 1, 1, 0]) / np.sqrt(2)),   # (|01> + |10>)/sqrt(2)
-    Ket(np.array([0, 1, -1, 0]) / np.sqrt(2)),  # (|01> - |10>)/sqrt(2)
-)
 
 _IDENTITY = np.eye(2, dtype=complex)
 _ENCODING_OPS = {
@@ -67,6 +60,8 @@ class RamseyConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tau_max) and self.tau_max > 0):
             raise ValueError(f"tau_max must be positive, got {self.tau_max}")
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
         if not np.isfinite(self.delta_split):
@@ -89,8 +84,14 @@ def ramsey_population(cfg: RamseyConfig, tau: float) -> float:
     """
     if not (0.0 <= tau <= cfg.tau_max):
         raise DomainError(f"tau = {tau} outside [0, {cfg.tau_max}]")
-    contrast = np.exp(-2.0 * cfg.dephasing_rate * tau)
-    return float(0.5 * (1.0 + contrast * np.cos(cfg.delta_split * tau)))
+    return float(_ramsey_fringe(cfg, tau)[0])
+
+
+def _ramsey_fringe(cfg: RamseyConfig, taus):
+    """P_e and the post-sequence coherence rho01 at delays taus, from one composed rotation."""
+    contrast = _coherence_decay(cfg.dephasing_rate, taus)
+    p_e = 0.5 * (1.0 + contrast * np.cos(cfg.delta_split * taus))
+    return p_e, -0.5j * contrast * np.sin(cfg.delta_split * taus)
 
 
 def ramsey_scan(cfg: RamseyConfig) -> TimeSeries:
@@ -106,10 +107,7 @@ def ramsey_scan(cfg: RamseyConfig) -> TimeSeries:
             f"{nyquist} of the scan grid; add points or shorten tau_max"
         )
     taus = np.linspace(0.0, cfg.tau_max, cfg.n_points)
-    contrast = np.exp(-2.0 * cfg.dephasing_rate * taus)
-    p_e = 0.5 * (1.0 + contrast * np.cos(cfg.delta_split * taus))
-    # Coherence of the post-sequence state, from the same composed rotation.
-    rho01 = -0.5j * contrast * np.sin(cfg.delta_split * taus)
+    p_e, rho01 = _ramsey_fringe(cfg, taus)
     return TimeSeries(times=taus, p_g=1.0 - p_e, p_e=p_e, rho01=rho01)
 
 
@@ -174,9 +172,12 @@ def superdense_encode(message: str) -> Ket:
     """
     if message not in MESSAGES:
         raise DomainError(f"message must be one of {MESSAGES}, got {message!r}")
-    op = _ENCODING_OPS[message]
-    shared = BELL_BASIS[0].amplitudes
-    return Ket(np.kron(op, _IDENTITY) @ shared)
+    shared = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    return Ket(np.kron(_ENCODING_OPS[message], _IDENTITY) @ shared)
+
+
+# Entangled two-qubit basis, ordered to match MESSAGES: the four encoded states.
+BELL_BASIS = tuple(superdense_encode(m) for m in MESSAGES)
 
 
 def superdense_decode(rho):
@@ -239,7 +240,7 @@ def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
     encoded = density_from_ket(superdense_encode(message))
     _, intact = superdense_decode(encoded)
     _, dephased = superdense_decode(damp_first_qubit_coherence(encoded, 0.0))
-    factor = np.exp(-2.0 * delta * times)
+    factor = _coherence_decay(delta, times)
     return dephased + factor[:, None] * (intact - dephased)
 
 
@@ -258,6 +259,8 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise DomainError(f"t_max must be positive, got {t_max}")
+    if not isinstance(n_points, (int, np.integer)):
+        raise DomainError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise DomainError(f"n_points must be at least 2, got {n_points}")
     times = np.linspace(0.0, t_max, n_points)

@@ -64,18 +64,17 @@ class Ket(_State):
     __slots__ = ()
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=complex).reshape(-1)
+        arr = np.array(amplitudes, dtype=complex)
+        if max(arr.shape, default=1) < arr.size:  # more than one axis longer than 1
+            raise DimensionError(f"ket amplitudes must form a vector, got shape {arr.shape}")
+        arr = arr.reshape(-1)
         if arr.size not in _SUPPORTED_DIMS:
-            raise DimensionError(
-                f"ket length must be 2 or 4, got {arr.size}"
-            )
+            raise DimensionError(f"ket length must be 2 or 4, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise InvalidStateError("ket amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
         if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise InvalidStateError(
-                f"ket is not normalized: sum |a_i|^2 = {norm_sq!r}"
-            )
+            raise InvalidStateError(f"ket is not normalized: sum |a_i|^2 = {norm_sq!r}")
         self._data = _readonly(arr)
 
     @property

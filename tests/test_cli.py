@@ -190,6 +190,15 @@ class TestSuperdenseCommand:
         success = [float(r[1]) for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(success, success[1:]))
 
+    def test_sweep_at_an_overflowing_rate_starts_at_one(self, capsys):
+        # 2 * delta overflows; at t = 0 the channel has not acted yet.
+        code, out, err = run_cli(capsys, ["superdense", "--message", "00", "--delta", "1e308",
+                                          "--t-max", "1", "--points", "3"])
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)[1]
+        assert rows[0] == ["0.00000000"] + ["1.00000000"] * 4
+        assert [row[1:] for row in rows[1:]] == [["0.500000000"] * 4] * 2
+
     def test_sweep_flags_must_pair(self, capsys):
         code, _, err = run_cli(
             capsys, ["superdense", "--message", "00", "--delta", "0.1", "--t-max", "4"]
@@ -251,6 +260,15 @@ class TestRamseyCommand:
         expected = 0.5 * (1.0 + np.exp(-0.4 * 4.0 * np.pi))
         assert float(parse_csv(damped)[1][-1][2]) == pytest.approx(expected, abs=1e-6)
 
+    def test_overflowing_dephasing_rate_runs(self, capsys):
+        # 2 * rate overflows; the fringe is still fully excited at zero delay.
+        code, out, err = run_cli(capsys, ["ramsey", "--delta-split", "1", "--tau-max", "10",
+                                          "--points", "40", "--dephasing-rate", "1e308"])
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)[1]
+        assert rows[0][2] == "1.00000000"
+        assert {row[2] for row in rows[1:]} == {"0.500000000"}
+
 
 class TestInterferenceCommand:
     FLAT_ARGS = [
@@ -271,6 +289,25 @@ class TestInterferenceCommand:
         code, _, err = run_cli(capsys, args)
         assert code == 2
         assert "error:" in err
+
+    def x_range_args(self, x_min, x_max):
+        # "--flag=value", as argparse takes "-inf" or "-1e308" after a space for a flag.
+        args = list(self.FLAT_ARGS)
+        del args[args.index("--x-min"):args.index("--x-max") + 2]
+        return args + [f"--x-min={x_min}", f"--x-max={x_max}"]
+
+    @pytest.mark.parametrize("x_min, x_max", [
+        ("0", "inf"), ("-inf", "0"), ("-inf", "inf"), ("0", "nan"), ("nan", "1"),
+        ("-1e308", "1e308"),
+    ])
+    def test_x_range_must_be_finite(self, capsys, x_min, x_max):
+        code, out, err = run_cli(capsys, self.x_range_args(x_min, x_max))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --x-max - --x-min must be finite, got ")
+
+    def test_reversed_x_range_keeps_its_message(self, capsys):
+        code, out, err = run_cli(capsys, self.x_range_args("1", "-1"))
+        assert (code, out, err) == (2, "", "error: --x-max must exceed --x-min\n")
 
     def test_jobs_do_not_change_output(self, capsys):
         _, single, _ = run_cli(capsys, self.FLAT_ARGS)

@@ -778,6 +778,28 @@ class TestAnalyticDephasing:
             pure_dephasing_analytic(EQUAL_SUPERPOSITION, 1.0, -0.1, 1.0)
 
 
+class TestCoherenceDecay:
+    """The one dephasing factor e^{-2 delta t} that every closed form uses."""
+
+    def test_zero_time_is_one_at_any_finite_rate(self):
+        for delta in (0.0, 1.0, 1e308, np.finfo(float).max):
+            assert dynamics._coherence_decay(delta, 0.0) == 1.0
+            assert dynamics._coherence_decay(np.float64(delta), np.zeros(3)).tolist() == [1.0] * 3
+
+    def test_product_past_the_float_range_is_zero_without_warning(self):
+        # Warnings are errors in this suite, so an overflow warning fails the test.
+        assert dynamics._coherence_decay(np.float64(1e308), np.float64(10.0)) == 0.0
+        assert dynamics._coherence_decay(1e308, np.array([0.0, 1e-308, 1.0])).tolist() == [
+            1.0, pytest.approx(np.exp(-2.0), rel=1e-15), 0.0
+        ]
+
+    def test_bitwise_equal_to_the_plain_formula(self):
+        rng = np.random.default_rng(8)
+        delta = 10.0 ** rng.uniform(-6, 2, 200)
+        t = rng.uniform(0.0, 50.0, 200)
+        assert dynamics._coherence_decay(delta, t).tobytes() == np.exp(-2.0 * delta * t).tobytes()
+
+
 class TestDephasingTime:
     def test_values(self):
         assert dephasing_time(0.5) == pytest.approx(1.0)
@@ -824,8 +846,14 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match=f"^{column} values must be finite"):
             TimeSeries(times=np.array([0.0, 1.0, 2.0]), **values)
 
+    def test_columns_take_their_dtypes(self):
+        series = TimeSeries(times=[0, 1, 2], p_g=[1, 1, 1], p_e=[0, 0, 0], rho01=[0, 0, 0])
+        assert [series.times.dtype, series.p_g.dtype, series.p_e.dtype, series.rho01.dtype] == [
+            np.dtype(float), np.dtype(float), np.dtype(float), np.dtype(complex)
+        ]
+
     def test_requires_matching_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^all trajectory columns must have the same length$"):
             TimeSeries(
                 times=np.array([0.0, 0.1]),
                 p_g=np.zeros(3),

@@ -60,6 +60,17 @@ class TestRamseyConfig:
         with pytest.raises(ValueError):
             RamseyConfig(delta_split=1.0, tau_max=1.0, n_points=10, dephasing_rate=-0.1)
 
+    @pytest.mark.parametrize("n_points", [np.nan, 2.5, 40.0, np.float64(40.0), "40"],
+                             ids=["nan", "2.5", "40.0", "float64-40", "str-40"])
+    def test_rejects_point_counts_that_are_not_integers(self, n_points):
+        with pytest.raises(ValueError, match="^n_points must be an integer, got "):
+            RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=n_points)
+
+    def test_accepts_numpy_integer_point_counts(self):
+        cfg = RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=np.int64(40))
+        plain = RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=40)
+        assert ramsey_scan(cfg).p_e.tobytes() == ramsey_scan(plain).p_e.tobytes()
+
 
 class TestRamseyPopulation:
     CFG = RamseyConfig(delta_split=1.0, tau_max=100.0, n_points=11)
@@ -277,6 +288,16 @@ class TestSuperdenseEncoding:
         overlap = abs(np.vdot(self.EXPECTED[message], encoded.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
+    def test_bell_basis_is_the_four_encoded_states(self):
+        for message, basis_state in zip(MESSAGES, BELL_BASIS):
+            literal = self.EXPECTED[message]
+            assert np.array_equal(basis_state.amplitudes, literal)
+            # Bitwise, signed zeros included: the same amplitudes as the literal vectors give.
+            assert basis_state.amplitudes.tobytes() == Ket(literal).amplitudes.tobytes()
+            assert superdense_encode(message).amplitudes.tobytes() == (
+                basis_state.amplitudes.tobytes()
+            )
+
     def test_bell_basis_orthonormal(self):
         gram = np.array(
             [[np.vdot(a.amplitudes, b.amplitudes) for b in BELL_BASIS] for a in BELL_BASIS]
@@ -379,6 +400,18 @@ class TestSuperdenseSweep:
         with pytest.raises(DomainError):
             superdense_channel_sweep(delta=0.1, t_max=1.0, n_points=1)
 
+    @pytest.mark.parametrize("n_points", [np.nan, 2.5, 40.0, np.float64(40.0)],
+                             ids=["nan", "2.5", "40.0", "float64-40"])
+    def test_rejects_point_counts_that_are_not_integers(self, n_points):
+        with pytest.raises(DomainError, match="^n_points must be an integer, got "):
+            superdense_channel_sweep(0.1, 1.0, n_points)
+
+    def test_accepts_numpy_integer_point_counts(self):
+        sweep = superdense_channel_sweep(0.1, 1.0, np.int32(7))
+        plain = superdense_channel_sweep(0.1, 1.0, 7)
+        for msg in MESSAGES:
+            assert sweep.success[msg].tobytes() == plain.success[msg].tobytes()
+
 
 # Closed form over a grid of rates and channel durations. First-qubit
 # dephasing turns each encoded Bell state into a mixture with its partner
@@ -424,3 +457,51 @@ class TestSuperdenseClosedForm:
         for t in (-1.0, np.nan, np.inf):
             with pytest.raises(DomainError, match="channel duration"):
                 superdense_success_probability("00", 0.1, t)
+
+
+# A dephasing rate so large that 2 * delta overflows: the coherence factor
+# e^{-2 delta t} is still exactly 1 at t = 0, as at zero rate, and 0 at any t > 0.
+HUGE_RATE = 1e308
+
+
+class TestDephasingFactorAtExtremeRates:
+    def test_ramsey_population_at_zero_delay(self):
+        cfg = RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=40, dephasing_rate=HUGE_RATE)
+        assert ramsey_population(cfg, 0.0) == 1.0
+        assert ramsey_population(cfg, np.pi) == 0.5
+
+    def test_ramsey_scan_at_zero_delay(self):
+        cfg = RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=40, dephasing_rate=HUGE_RATE)
+        series = ramsey_scan(cfg)
+        assert series.p_e[0] == 1.0
+        assert np.all(series.p_e[1:] == 0.5)
+        assert np.all(series.rho01 == 0.0)
+
+    def test_superdense_at_zero_duration(self):
+        intact = superdense_channel_sweep(0.0, 1.0, 3)
+        sweep = superdense_channel_sweep(HUGE_RATE, 1.0, 3)
+        for msg in MESSAGES:
+            noiseless = superdense_success_probability(msg, 0.0, 0.0)
+            assert superdense_success_probability(msg, HUGE_RATE, 0.0) == noiseless
+            assert sweep.success[msg][0] == intact.success[msg][0]
+            assert sweep.success[msg][1:] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_pure_dephasing_analytic_at_zero_time(self):
+        rho0 = density_from_ket(Ket([INV_SQRT2, INV_SQRT2]))
+        assert np.array_equal(pure_dephasing_analytic(rho0, 1.0, HUGE_RATE, 0.0).matrix,
+                              rho0.matrix)
+        damped = pure_dephasing_analytic(rho0, 1.0, HUGE_RATE, 1.0).matrix
+        assert np.array_equal(damped, np.diag(np.diag(rho0.matrix)))
+
+
+@given(
+    delta_split=st.floats(-3.0, 3.0),
+    dephasing_rate=st.floats(0.0, 2.0),
+    tau_max=st.floats(0.1, 20.0),
+    n_points=st.integers(64, 300),
+)
+def test_population_matches_the_scan_on_its_grid(delta_split, dephasing_rate, tau_max, n_points):
+    cfg = RamseyConfig(delta_split, tau_max, n_points, dephasing_rate)
+    series = ramsey_scan(cfg)
+    for tau, p_e in zip(series.times, series.p_e):
+        assert abs(ramsey_population(cfg, float(tau)) - p_e) <= 1e-15

@@ -56,6 +56,19 @@ class TestKetValidation:
         with pytest.raises(InvalidStateError):
             Ket([np.nan, 0.0])
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionError) as excinfo:
+            Ket([[1, 0], [0, 0]])
+        assert str(excinfo.value) == "ket amplitudes must form a vector, got shape (2, 2)"
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (4, 1), (1, 4), (1, 1, 4)])
+    def test_column_and_row_vectors_build_the_flat_ket(self, shape):
+        amps = np.zeros(shape)
+        amps.flat[-1] = 1.0
+        psi = Ket(amps)
+        assert psi.dim == amps.size
+        assert psi.amplitudes.tobytes() == Ket(amps.reshape(-1)).amplitudes.tobytes()
+
     def test_amplitudes_read_only(self):
         psi = Ket([1.0, 0.0])
         with pytest.raises(ValueError):
