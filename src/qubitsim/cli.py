@@ -38,17 +38,10 @@ from .protocols import (
     ramsey_scan,
     superdense_channel_sweep,
 )
-from .qstate import EIGENVALUE_ATOL, NORM_ATOL, DensityMatrix, min_eigenvalue
+from .qstate import EIGENVALUE_ATOL, NORM_ATOL, TYPED_ATOL, DensityMatrix, min_eigenvalue
 
 # One channel use in single-shot superdense mode lasts one time unit.
 _SINGLE_SHOT_TIME = 1.0
-
-# Values typed with a few digits cannot meet the library's NORM_ATOL or
-# EIGENVALUE_ATOL. The CLI accepts amplitudes with |a^2 + b^2 - 1| up to
-# this and rescales them to unit norm, and a dephasing start state with
-# smallest eigenvalue down to -this and shrinks its coherence onto the
-# pure-state bound.
-_INPUT_NORM_ATOL = 1e-6
 
 # Flags that choose how a run is delivered; JSON meta.parameters echoes the rest.
 _NOT_PARAMETERS = ("command", "format", "output", "jobs")
@@ -134,7 +127,8 @@ def _columns_json(columns):
 def _handle_interference(args):
     geom = SlitGeometry(args.k, args.slit_spacing, args.screen_distance)
     a, b = args.a, args.b
-    if NORM_ATOL < abs(a**2 + b**2 - 1.0) <= _INPUT_NORM_ATOL:
+    # An amplitude past 1 + TYPED_ATOL is outside the band, and its square may overflow.
+    if max(abs(a), abs(b)) <= 1.0 + TYPED_ATOL and NORM_ATOL < abs(a**2 + b**2 - 1.0) <= TYPED_ATOL:
         norm = math.hypot(a, b)
         a, b = a / norm, b / norm
     state = PhotonState(a, b, args.phi)
@@ -144,6 +138,10 @@ def _handle_interference(args):
         raise DomainError("--x-max must exceed --x-min")
     if not math.isfinite(args.x_max - args.x_min):
         raise DomainError(f"--x-max - --x-min must be finite, got {args.x_max} - {args.x_min}")
+    far_x = max(abs(args.x_min), abs(args.x_max))  # the phase is linear in x
+    if not math.isfinite(geom.phase_difference(far_x)):
+        raise DomainError(f"phase --k * --slit-spacing / --screen-distance * x overflows at "
+                          f"x = {far_x} in [--x-min, --x-max]")
     x = np.linspace(args.x_min, args.x_max, args.points)
     intensity = quantum_intensity(state, geom.phase_difference(x))
     columns = [("x", x), ("intensity", intensity)]
@@ -172,10 +170,10 @@ def _dephasing_start(args) -> DensityMatrix:
     if lam < -EIGENVALUE_ATOL:
         if not 0.0 <= p_e <= 1.0:
             raise DomainError(f"--p-e-init must lie in [0, 1], got {p_e}")
-        if lam < -_INPUT_NORM_ATOL:
+        if lam < -TYPED_ATOL:
             raise DomainError(
                 f"--rho01-init-re and --rho01-init-im exceed sqrt(p_e (1 - p_e)) for "
-                f"--p-e-init {p_e}: min eigenvalue {lam:.3e} is below -{_INPUT_NORM_ATOL:g}"
+                f"--p-e-init {p_e}: min eigenvalue {lam:.3e} is below -{TYPED_ATOL:g}"
             )
         # |rho01|^2 <= p_e (1 - p_e) bounds a state; the typed digits overshoot it.
         coherence *= math.sqrt(p_e * (1.0 - p_e)) / abs(coherence)

@@ -30,18 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalInstabilityError, StepSizeError
-from .qstate import DensityMatrix, _as_density, _min_eigenvalue_2x2, _readonly
+from .qstate import (
+    HERMITICITY_TOL,
+    POSITIVITY_FLOOR,
+    SPACING_RTOL,
+    TRACE_TOL,
+    DensityMatrix,
+    _as_density,
+    _min_eigenvalue_2x2,
+    _readonly,
+)
 
 SIGMA_X = _readonly(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Z = _readonly(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
-# Tolerances monitored on every trajectory sample. Positivity is monitored,
-# not enforced: a breach aborts instead of silently projecting back.
-TRACE_TOL = 1e-9
-HERMITICITY_TOL = 1e-9
-POSITIVITY_FLOOR = -1e-8
-
 _STEP_RESOLUTION = 0.1  # dt * (fastest angular frequency or rate) must stay below this
+# The trajectory alone takes 64 bytes (four complex entries) per step, so a
+# run of this many steps already needs 64 GB.
+_MAX_STEPS = 10**9
 
 # Driven step maps are built this many at a time, so memory stays bounded
 # for long runs.
@@ -152,7 +158,7 @@ class TimeSeries:
             dt = steps[0]
             if not dt > 0:
                 raise ValueError("sample times must be strictly increasing")
-            if not np.max(np.abs(steps - dt)) <= 1e-9 * max(1.0, abs(dt)):
+            if not np.max(np.abs(steps - dt)) <= SPACING_RTOL * max(1.0, abs(dt)):
                 raise ValueError("sample times must be uniformly spaced")
         for name in ("p_g", "p_e", "rho01"):
             if not np.isfinite(getattr(self, name)).all():
@@ -198,6 +204,8 @@ def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float):
     for label, rate in scales + [("channel rate", ch.rate) for ch in channels]:
         if dt * rate >= _STEP_RESOLUTION:
             raise StepSizeError(f"dt * {label} = {dt * rate} must stay below {_STEP_RESOLUTION}")
+    if t_max / dt > _MAX_STEPS:
+        raise StepSizeError(f"t_max / dt = {t_max / dt} exceeds the limit of {_MAX_STEPS} steps")
 
 
 def _superoperator(h_matrix: np.ndarray, channels) -> np.ndarray:
@@ -332,7 +340,8 @@ def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float
         Collapse operators; empty means closed evolution.
     t_max, dt : float
         Final time and fixed step. dt must not exceed t_max/10 and must
-        resolve the fastest frequency and channel rate (product below 0.1).
+        resolve the fastest frequency and channel rate (product below 0.1),
+        and t_max/dt must not exceed 10**9 steps.
 
     Returns
     -------
@@ -360,10 +369,12 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
     """Exact state after pure dephasing: populations fixed, coherences damped.
 
     rho01(t) = e^{-2 delta t} e^{-i epsilon t} rho01(0); the opposite corner
-    follows by conjugation. Serves as the closed-form oracle for
-    evolve_lindblad with the sqrt(delta) sigma_z channel.
+    follows by conjugation; t must be finite and non-negative. The closed-form
+    oracle for evolve_lindblad with the sqrt(delta) sigma_z channel.
     """
     _check_dephasing_rate(delta)
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     mat = _as_density(rho0).matrix
     factor = _coherence_decay(delta, t) * np.exp(-1j * epsilon * t)
     upper = mat[0, 1] * factor

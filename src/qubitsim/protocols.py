@@ -30,7 +30,7 @@ from .dynamics import (
     evolve_lindblad,
 )
 from .errors import DomainError, SamplingError
-from .qstate import DensityMatrix, Ket, _as_density, density_from_ket
+from .qstate import NORM_ATOL, DensityMatrix, Ket, _as_density, density_from_ket
 
 MESSAGES = ("00", "01", "10", "11")
 
@@ -41,6 +41,13 @@ _ENCODING_OPS = {
     "10": SIGMA_X,
     "11": SIGMA_Z @ SIGMA_X,
 }
+
+
+def _check_points(n_points, error):
+    if not isinstance(n_points, (int, np.integer)):
+        raise error(f"n_points must be an integer, got {n_points!r}")
+    if n_points < 2:
+        raise error(f"n_points must be at least 2, got {n_points}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,7 @@ class RamseyConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tau_max) and self.tau_max > 0):
             raise ValueError(f"tau_max must be positive, got {self.tau_max}")
-        if not isinstance(self.n_points, (int, np.integer)):
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be at least 2, got {self.n_points}")
+        _check_points(self.n_points, ValueError)
         if not np.isfinite(self.delta_split):
             raise ValueError("delta_split must be finite")
         if not (np.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
@@ -124,7 +128,7 @@ def fringe_frequency(series: TimeSeries) -> float:
     n_fft = 8 * n
     spectrum = np.abs(np.fft.rfft(values, n=n_fft))
     peak = int(np.argmax(spectrum[1:])) + 1
-    if spectrum[peak] < 1e-12 * n:
+    if spectrum[peak] < NORM_ATOL * n:
         return 0.0
     offset = 0.0
     if 1 <= peak < spectrum.size - 1:
@@ -259,10 +263,7 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise DomainError(f"t_max must be positive, got {t_max}")
-    if not isinstance(n_points, (int, np.integer)):
-        raise DomainError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 2:
-        raise DomainError(f"n_points must be at least 2, got {n_points}")
+    _check_points(n_points, DomainError)
     times = np.linspace(0.0, t_max, n_points)
     success = {
         msg: _superdense_probabilities(msg, delta, times)[:, i]

@@ -13,10 +13,20 @@ import numpy as np
 
 from .errors import DimensionError, InvalidOverlapError, InvalidStateError
 
-# Algebraic identities (norms, traces, hermiticity) are enforced tightly;
-# eigenvalue positivity gets slack for floating-point eigensolvers.
+# Every tolerance in the package, by the kind of value it judges. States handed to
+# the library: norm, trace, hermiticity and |overlap| <= 1 hold to rounding, as does
+# a unit-scale zero (a Bloch pole, a flat fringe record); eigensolvers get slack.
 NORM_ATOL = 1e-12
 EIGENVALUE_ATOL = 1e-9
+# States typed on the command line: a few digits miss the bounds above, so the
+# CLI snaps a state that misses by up to this onto the nearest state.
+TYPED_ATOL = 1e-6
+# Values the program computed, checked on every trajectory sample: positivity is
+# monitored, not projected back. Sample steps agree to SPACING_RTOL * max(1, dt).
+TRACE_TOL = 1e-9
+HERMITICITY_TOL = 1e-9
+POSITIVITY_FLOOR = -1e-8
+SPACING_RTOL = 1e-9
 
 _SUPPORTED_DIMS = (2, 4)
 _TWO_PI = 2.0 * np.pi
@@ -155,7 +165,7 @@ def bloch_from_ket(psi: Ket) -> BlochAngles:
         raise DimensionError(f"bloch_from_ket expects a single qubit, got dim {psi.dim}")
     a, b = psi.amplitudes
     theta = 2.0 * np.arctan2(abs(b), abs(a))
-    if abs(a) <= 1e-12 or abs(b) <= 1e-12:
+    if abs(a) <= NORM_ATOL or abs(b) <= NORM_ATOL:
         phi = 0.0
     else:
         phi = float((np.angle(b) - np.angle(a)) % _TWO_PI)

@@ -137,6 +137,15 @@ class TestDephasingCommand:
         assert code == 2
         assert err.startswith(f"error: {flag}")
 
+    @pytest.mark.parametrize("scale, expected", [(1 / 3, 0), (3.0, 2)])
+    def test_typed_start_state_band_edge(self, capsys, scale, expected):
+        # At the default p_e = 0.5 the smallest eigenvalue is 0.5 - |rho01|: it misses 0
+        # by scale times 1e-6, the typed-input tolerance.
+        args = self.START_ARGS[:-2] + ["--rho01-init-re", repr(0.5 + scale * 1e-6)]
+        code, _, err = run_cli(capsys, args)
+        assert code == expected, err
+        assert err.startswith("error: --rho01-init-re") == (expected == 2)
+
     def test_valid_start_state_is_used_as_typed(self, capsys, monkeypatch):
         # 0.45825757^2 overshoots 0.21 by 4.6e-10, inside the library's tolerance.
         seen = []
@@ -333,6 +342,41 @@ class TestInterferenceCommand:
         code, _, err = run_cli(capsys, self.amplitude_args("0.7071", "0.7071"))
         assert code == 2
         assert "a^2 + b^2" in err
+
+    @pytest.mark.parametrize("scale, expected", [(1 / 3, 0), (3.0, 2)])
+    def test_typed_amplitude_band_edge(self, capsys, scale, expected):
+        # a^2 + b^2 misses 1 by scale times 1e-6, the typed-input tolerance.
+        a = repr(math.sqrt((1.0 + scale * 1e-6) / 2.0))
+        code, _, err = run_cli(capsys, self.amplitude_args(a, a))
+        assert code == expected, err
+        assert ("a^2 + b^2" in err) == (expected == 2)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--a", "1e300"), ("--b", "1e300"), ("--a", "1e308"), ("--b", "1e308"),
+    ])
+    def test_huge_amplitude_exits_2(self, capsys, flag, value):
+        args = self.amplitude_args("0.6", "0.8")
+        args[args.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: amplitudes must lie in [0, 1]")
+
+    @pytest.mark.parametrize("x_min, x_max", [("0", "1e20"), ("-1e20", "1")])
+    def test_phase_overflow_exits_2(self, capsys, x_min, x_max):
+        # k * L / R0 * x is 1e318 at |x| = 1e20, past the float range.
+        args = self.x_range_args(x_min, x_max)
+        args[args.index("--k") + 1] = "1e300"
+        code, out, err = run_cli(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == ("error: phase --k * --slit-spacing / --screen-distance * x overflows "
+                       "at x = 1e+20 in [--x-min, --x-max]\n")
+
+    def test_large_finite_phase_runs(self, capsys):
+        args = self.x_range_args("0", "1")
+        args[args.index("--k") + 1] = "1e300"
+        code, out, err = run_cli(capsys, args)
+        assert (code, err) == (0, "")
+        assert "nan" not in out
 
     def test_normalized_amplitudes_are_used_as_typed(self, capsys, monkeypatch):
         seen = []
@@ -609,6 +653,20 @@ def test_non_finite_epsilon_exits_2_naming_it(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: epsilon ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dephasing", "--epsilon", "1", "--delta", "0.1", "--t-max", "1e308", "--dt", "1e-3"],
+    ["dephasing", "--epsilon", "1", "--delta", "0.1", "--t-max", "1", "--dt", "1e-320"],
+    ["rabi", "--omega", "1", "--delta", "0.1", "--epsilon", "1", "--t-max", "10",
+     "--dt", "1e-300"],
+    ["dephasing", "--epsilon", "1", "--delta", "0.1", "--t-max", "1e12", "--dt", "1e-3"],
+], ids=["t-max-overflows", "dt-subnormal", "rabi-dt-tiny", "too-many-steps"])
+def test_step_count_past_the_limit_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: t_max / dt = ")
+    assert err.endswith(" exceeds the limit of 1000000000 steps\n")
 
 
 # Floats json writes in unusual forms, and text it must escape.

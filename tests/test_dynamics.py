@@ -200,11 +200,25 @@ class TestStepGuards:
         (QubitHamiltonian(epsilon=1.0),
          [LindbladChannel(0.5 * SIGMA_Z), LindbladChannel(2.0 * SIGMA_Z)],
          10.0, 0.05, "dt * channel rate = 0.2 must stay below 0.1"),
+        # Step counts past the limit are refused before the trajectory is allocated.
+        (QubitHamiltonian(epsilon=1.0), [], 1e308, 1e-3,
+         "t_max / dt = inf exceeds the limit of 1000000000 steps"),
+        (QubitHamiltonian(epsilon=1.0), [], 1.0, 1e-320,
+         "t_max / dt = inf exceeds the limit of 1000000000 steps"),
+        (QubitHamiltonian(epsilon=1.0), [], 1e12, 1e-3,
+         "t_max / dt = 1000000000000000.0 exceeds the limit of 1000000000 steps"),
     ])
     def test_exact_messages(self, h, channels, t_max, dt, message):
         with pytest.raises(StepSizeError) as excinfo:
             evolve_lindblad(EQUAL_SUPERPOSITION, h, channels, t_max, dt)
         assert str(excinfo.value) == message
+
+    def test_step_limit_admits_the_limit_itself(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 100)
+        h = QubitHamiltonian(epsilon=1.0)
+        assert len(evolve_closed(EQUAL_SUPERPOSITION, h, 1.0, 0.01)) == 101
+        with pytest.raises(StepSizeError, match="^t_max / dt = 102.* exceeds the limit of 100 steps$"):
+            evolve_closed(EQUAL_SUPERPOSITION, h, 1.02, 0.01)
 
 
 class TestClosedEvolution:
@@ -748,6 +762,24 @@ class TestTrajectoryMonitoring:
         with pytest.raises(NumericalInstabilityError, match="^positivity .* at step 2$"):
             _series_from_trajectory(traj, 0.1)
 
+    # A miss of a third of a tolerance passes and one of three times it fails.
+    # The tolerances are written out, not imported, so that a changed value in
+    # the qstate table fails here.
+    @pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+    @pytest.mark.parametrize("tolerance, sample, check", [
+        (1e-9, lambda m: [0.5 + m, 0.0, 0.0, 0.5], "trace"),
+        (1e-9, lambda m: [0.5, m, 0.0, 0.5], "hermiticity"),
+        (1e-9, lambda m: [0.5 + 0.5j * m, 0.0, 0.0, 0.5 - 0.5j * m], "hermiticity"),
+        (1e-8, lambda m: [1.0 + m, 0.0, 0.0, -m], "positivity"),
+    ], ids=["trace", "hermiticity-coherence", "hermiticity-diagonal", "positivity"])
+    def test_tolerance_edges(self, tolerance, sample, check, scale, within):
+        traj = np.array([[0.5, 0.25, 0.25, 0.5], sample(scale * tolerance)], dtype=complex)
+        if within:
+            assert len(_series_from_trajectory(traj, 0.1)) == 2
+        else:
+            with pytest.raises(NumericalInstabilityError, match=f"^{check} .* at step 1$"):
+                _series_from_trajectory(traj, 0.1)
+
     def test_full_cosine_rejects_nan_carrier(self):
         with pytest.raises(ValueError, match="omega0"):
             evolve_lindblad(
@@ -776,6 +808,12 @@ class TestAnalyticDephasing:
     def test_rejects_negative_rate(self):
         with pytest.raises(DomainError):
             pure_dephasing_analytic(EQUAL_SUPERPOSITION, 1.0, -0.1, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_times_that_are_not_finite_and_non_negative(self, t):
+        # At delta = 0 a negative t would still give a valid state.
+        with pytest.raises(DomainError, match=f"^t must be finite and non-negative, got {t}$"):
+            pure_dephasing_analytic(EQUAL_SUPERPOSITION, 1.0, 0.0, t)
 
 
 class TestCoherenceDecay:
@@ -845,6 +883,19 @@ class TestTimeSeries:
         values[column][1] = bad
         with pytest.raises(ValueError, match=f"^{column} values must be finite"):
             TimeSeries(times=np.array([0.0, 1.0, 2.0]), **values)
+
+    @pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+    @pytest.mark.parametrize("dt", [0.1, 10.0])
+    def test_spacing_tolerance_edge(self, dt, scale, within):
+        # Steps may differ from the first by 1e-9 * max(1, dt), written out so
+        # that a changed value in the qstate table fails here.
+        times = np.array([0.0, dt, 2.0 * dt + scale * 1e-9 * max(1.0, dt)])
+        columns = {"p_g": np.full(3, 0.5), "p_e": np.full(3, 0.5), "rho01": np.zeros(3)}
+        if within:
+            assert TimeSeries(times=times, **columns).dt == dt
+        else:
+            with pytest.raises(ValueError, match="^sample times must be uniformly spaced$"):
+                TimeSeries(times=times, **columns)
 
     def test_columns_take_their_dtypes(self):
         series = TimeSeries(times=[0, 1, 2], p_g=[1, 1, 1], p_e=[0, 0, 0], rho01=[0, 0, 0])

@@ -49,6 +49,17 @@ class TestPhotonStateValidation:
         with pytest.raises(InvalidStateError):
             PhotonState(a=1.0, b=1.0)
 
+    @pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+    def test_norm_tolerance_edge(self, scale, within):
+        # a^2 + b^2 misses 1 by scale times 1e-12, written out, not imported,
+        # so that a changed value in the qstate table fails here.
+        a = np.sqrt(0.36 + scale * 1e-12)
+        if within:
+            PhotonState(a=a, b=0.8)
+        else:
+            with pytest.raises(InvalidStateError, match="^path amplitudes are not normalized"):
+                PhotonState(a=a, b=0.8)
+
     def test_rejects_out_of_range_amplitude(self):
         with pytest.raises(InvalidStateError):
             PhotonState(a=1.2, b=0.0)

@@ -13,6 +13,7 @@ from qubitsim import (
     Ket,
     RamseyConfig,
     SamplingError,
+    TimeSeries,
     damp_first_qubit_coherence,
     density_from_ket,
     figure_of_merit,
@@ -141,6 +142,17 @@ class TestRamseyScan:
         series = ramsey_scan(cfg)
         assert np.allclose(series.p_e, 1.0)
         assert fringe_frequency(series) == 0.0
+
+    @pytest.mark.parametrize("scale, flat", [(1 / 3, True), (3.0, False)])
+    def test_flat_record_tolerance_edge(self, scale, flat):
+        # A fringe of amplitude A peaks near A n / 2 in the spectrum, and a peak
+        # below 1e-12 n counts as flat; 1e-12 is written out, not imported, so
+        # that a changed value in the qstate table fails here.
+        n = 256
+        taus = 0.25 * np.arange(n)
+        p_e = 0.5 + 2.0 * scale * 1e-12 * np.cos(taus)
+        series = TimeSeries(times=taus, p_g=1.0 - p_e, p_e=p_e, rho01=np.zeros(n))
+        assert fringe_frequency(series) == (0.0 if flat else pytest.approx(1.0, rel=0.01))
 
     def test_nyquist_guard(self):
         cfg = RamseyConfig(delta_split=100.0, tau_max=10.0, n_points=16)

@@ -412,3 +412,37 @@ class TestMinEigenvalue:
         assert lam.shape == (3, 50)
         assert np.allclose(lam, np.linalg.eigvalsh(herm)[..., 0], atol=1e-10)
         assert lam[1, 7] == min_eigenvalue(herm[1, 7])
+
+
+# A miss of a third of a tolerance is accepted and one of three times it is
+# rejected. The tolerances are written out, not imported, so that a changed
+# value in the qstate table fails here.
+@pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+@pytest.mark.parametrize("tolerance, build, error, message", [
+    (1e-12, lambda m: Ket([np.sqrt(1.0 + m), 0.0]), InvalidStateError, "ket is not normalized"),
+    (1e-12, lambda m: DensityMatrix([[0.5 + m, 0.0], [0.0, 0.5]]), InvalidStateError,
+     "density matrix trace"),
+    (1e-12, lambda m: DensityMatrix([[0.5, 0.5 + m], [0.5, 0.5]]), InvalidStateError,
+     "density matrix is not Hermitian"),
+    (1e-9, lambda m: DensityMatrix([[1.0 + m, 0.0], [0.0, -m]]), InvalidStateError,
+     "density matrix is not positive semidefinite"),
+    (1e-12, lambda m: reduced_with_overlap(np.sqrt(1.0 + m), 0.0, 0.0), InvalidStateError,
+     "branch amplitudes are not normalized"),
+    (1e-12, lambda m: reduced_with_overlap(INV_SQRT2, INV_SQRT2, 1.0 + m), InvalidOverlapError,
+     "environment overlap magnitude"),
+], ids=["ket-norm", "density-trace", "density-hermiticity", "density-eigenvalue",
+        "branch-norm", "overlap-magnitude"])
+def test_state_tolerance_edges(tolerance, build, error, message, scale, within):
+    if within:
+        build(scale * tolerance)
+    else:
+        with pytest.raises(error, match=f"^{message}"):
+            build(scale * tolerance)
+
+
+@pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+def test_bloch_pole_tolerance_edge(scale, within):
+    # An amplitude within 1e-12 of zero puts the ket on a pole, where phi is 0.
+    b = scale * 1e-12
+    phi = bloch_from_ket(Ket([np.sqrt(1.0 - b * b), 1j * b])).phi
+    assert phi == (0.0 if within else pytest.approx(np.pi / 2))
