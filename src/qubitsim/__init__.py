@@ -7,6 +7,8 @@ units throughout: hbar = 1, energies are angular frequencies, rates are
 inverse time.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .dynamics import (
@@ -72,58 +74,8 @@ from .qstate import (
     tensor,
 )
 
-__all__ = [
-    "__version__",
-    "BELL_BASIS",
-    "BlochAngles",
-    "DensityMatrix",
-    "DimensionError",
-    "DomainError",
-    "DriveMode",
-    "GeometryError",
-    "InvalidOverlapError",
-    "InvalidStateError",
-    "Ket",
-    "LindbladChannel",
-    "MESSAGES",
-    "NumericalInstabilityError",
-    "PhotonState",
-    "QubitHamiltonian",
-    "QubitSimError",
-    "RamseyConfig",
-    "SamplingError",
-    "SIGMA_X",
-    "SIGMA_Z",
-    "SlitGeometry",
-    "StepSizeError",
-    "SuperdenseSweep",
-    "TimeSeries",
-    "bloch_from_ket",
-    "classical_intensity",
-    "coherence",
-    "damp_first_qubit_coherence",
-    "density_from_ket",
-    "dephasing_time",
-    "evolve_closed",
-    "evolve_lindblad",
-    "figure_of_merit",
-    "fringe_frequency",
-    "fringe_visibility",
-    "hamiltonian_at",
-    "ket_from_bloch",
-    "min_eigenvalue",
-    "partial_trace_env",
-    "populations",
-    "pure_dephasing_analytic",
-    "purity",
-    "quantum_intensity",
-    "rabi_with_dephasing",
-    "ramsey_population",
-    "ramsey_scan",
-    "reduced_with_overlap",
-    "superdense_channel_sweep",
-    "superdense_decode",
-    "superdense_encode",
-    "superdense_success_probability",
-    "tensor",
+# The import block above is the export list: every public name it binds.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -43,8 +43,8 @@ from .qstate import EIGENVALUE_ATOL, NORM_ATOL, TYPED_ATOL, DensityMatrix, min_e
 # One channel use in single-shot superdense mode lasts one time unit.
 _SINGLE_SHOT_TIME = 1.0
 
-# Flags that choose how a run is delivered; JSON meta.parameters echoes the rest.
-_NOT_PARAMETERS = ("command", "format", "output", "jobs")
+# Entries that choose what runs and how it is delivered; JSON meta.parameters echoes the rest.
+_NOT_PARAMETERS = ("command", "format", "output", "jobs", "handler")
 
 
 def _plus_zero(values) -> np.ndarray:
@@ -166,7 +166,8 @@ def _dephasing_start(args) -> DensityMatrix:
     def state(c):
         return np.array([[1.0 - p_e, c], [np.conj(c), p_e]])
 
-    lam = min_eigenvalue(state(coherence))
+    with np.errstate(all="ignore"):  # typed values may overflow; the checks below catch them
+        lam = min_eigenvalue(state(coherence))
     if lam < -EIGENVALUE_ATOL:
         if not 0.0 <= p_e <= 1.0:
             raise DomainError(f"--p-e-init must lie in [0, 1], got {p_e}")
@@ -209,15 +210,6 @@ def _handle_superdense(args):
     return columns, lambda: _columns_json(columns)
 
 
-_HANDLERS = {
-    "interference": _handle_interference,
-    "ramsey": _handle_ramsey,
-    "dephasing": _handle_dephasing,
-    "rabi": _handle_rabi,
-    "superdense": _handle_superdense,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -236,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interference", parents=[common],
                        help="single-photon double-slit intensity sweep")
+    p.set_defaults(handler=_handle_interference)
     p.add_argument("--k", type=float, required=True, help="wavenumber (rad/length)")
     p.add_argument("--slit-spacing", type=float, required=True)
     p.add_argument("--screen-distance", type=float, required=True)
@@ -248,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ramsey", parents=[common],
                        help="two-pulse fringe scan against free-evolution delay")
+    p.set_defaults(handler=_handle_ramsey)
     p.add_argument("--delta-split", type=float, required=True,
                    help="level splitting (angular frequency)")
     p.add_argument("--tau-max", type=float, required=True)
@@ -256,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dephasing", parents=[common],
                        help="free decay of the coherence under pure dephasing")
+    p.set_defaults(handler=_handle_dephasing)
     p.add_argument("--epsilon", type=float, required=True,
                    help="level splitting (angular frequency)")
     p.add_argument("--delta", type=float, required=True, help="dephasing rate")
@@ -267,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rabi", parents=[common],
                        help="resonantly driven oscillations damped by dephasing")
+    p.set_defaults(handler=_handle_rabi)
     p.add_argument("--omega", type=float, required=True, help="drive amplitude")
     p.add_argument("--delta", type=float, required=True, help="dephasing rate")
     p.add_argument("--epsilon", type=float, required=True,
@@ -276,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("superdense", parents=[common],
                        help="two bits over one qubit of a shared entangled pair")
+    p.set_defaults(handler=_handle_superdense)
     p.add_argument("--message", choices=MESSAGES, required=True)
     p.add_argument("--delta", type=float, required=True,
                    help="dephasing rate on the sender's qubit in transit")
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     """Execute one parsed subcommand and deliver its artifact."""
     # Handlers return a function that builds the JSON data, so CSV runs skip it.
-    columns, json_data = _HANDLERS[args.command](args)
+    columns, json_data = args.handler(args)
     if args.format == "csv":
         _deliver(_render_csv(columns), args.output)
         return 0

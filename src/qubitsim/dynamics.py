@@ -194,7 +194,8 @@ def hamiltonian_at(h: QubitHamiltonian, t: float) -> np.ndarray:
     return static + np.cos(h.omega0 * t) * drive
 
 
-def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float):
+def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float) -> int:
+    """Step count round(t_max / dt) of a run; raises StepSizeError if a step rule fails."""
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise StepSizeError(f"{name} must be positive, got {value}")
@@ -204,8 +205,10 @@ def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float):
     for label, rate in scales + [("channel rate", ch.rate) for ch in channels]:
         if dt * rate >= _STEP_RESOLUTION:
             raise StepSizeError(f"dt * {label} = {dt * rate} must stay below {_STEP_RESOLUTION}")
-    if t_max / dt > _MAX_STEPS:
-        raise StepSizeError(f"t_max / dt = {t_max / dt} exceeds the limit of {_MAX_STEPS} steps")
+    ratio = float(t_max) / float(dt)  # a Python float overflows to inf; a numpy scalar warns
+    if ratio > _MAX_STEPS:
+        raise StepSizeError(f"t_max / dt = {ratio} exceeds the limit of {_MAX_STEPS} steps")
+    return int(round(ratio))
 
 
 def _superoperator(h_matrix: np.ndarray, channels) -> np.ndarray:
@@ -354,8 +357,7 @@ def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float
     if rho0.dim != 2:
         raise DimensionError("time evolution supports single-qubit states only")
     channels = tuple(channels)
-    _check_step(h, channels, t_max, dt)
-    n_steps = int(round(t_max / dt))
+    n_steps = _check_step(h, channels, t_max, dt)
     traj = _integrate_static(rho0.matrix, h, channels, dt, n_steps)
     return _series_from_trajectory(traj, dt)
 

@@ -164,7 +164,11 @@ def figure_of_merit(delta: float, omega: float) -> float:
     if not (np.isfinite(omega) and omega > 0):
         raise DomainError(f"drive amplitude must be positive, got {omega}")
     _check_dephasing_rate(delta)
-    return delta / omega
+    merit = float(delta) / float(omega)  # a Python float overflows to inf; a numpy scalar warns
+    if not np.isfinite(merit):
+        raise DomainError(f"drive amplitude {omega} is too small: delta / omega overflows "
+                          f"for dephasing rate {delta}")
+    return merit
 
 
 def superdense_encode(message: str) -> Ket:

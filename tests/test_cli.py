@@ -722,3 +722,30 @@ def test_main_json_is_json_dumps_layout(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e308", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--rho01-init-re", "--rho01-init-im", "--p-e-init"])
+def test_overflowing_start_state_exits_2_with_one_line(capsys, flag, value):
+    argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
+            f"{flag}={value}"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    # Exactly one line: the error, with no numpy warning before it.
+    if flag != "--p-e-init":
+        expected = r"error: --rho01-init-re and --rho01-init-im exceed .* min eigenvalue -inf .*"
+    elif value.endswith("inf"):
+        expected = r"error: density matrix entries must be finite"
+    else:
+        expected = r"error: --p-e-init must lie in \[0, 1\], got 1e\+30[08]"
+    assert re.fullmatch(expected + "\n", err)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_subnormal_rabi_drive_exits_2(capsys, fmt):
+    argv = ["rabi", "--omega=1e-320", "--delta", "0.001", "--epsilon", "1", "--t-max", "3",
+            "--dt", "0.01", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: drive amplitude 1e-320 is too small: delta / omega overflows "
+                   "for dephasing rate 0.001\n")

@@ -12,6 +12,7 @@ from qubitsim import dynamics
 from qubitsim import (
     SIGMA_X,
     SIGMA_Z,
+    BlochAngles,
     DensityMatrix,
     DomainError,
     DriveMode,
@@ -26,7 +27,9 @@ from qubitsim import (
     evolve_closed,
     evolve_lindblad,
     hamiltonian_at,
+    ket_from_bloch,
     pure_dephasing_analytic,
+    reduced_with_overlap,
 )
 from qubitsim.dynamics import _integrate_static, _series_from_trajectory
 
@@ -219,6 +222,13 @@ class TestStepGuards:
         assert len(evolve_closed(EQUAL_SUPERPOSITION, h, 1.0, 0.01)) == 101
         with pytest.raises(StepSizeError, match="^t_max / dt = 102.* exceeds the limit of 100 steps$"):
             evolve_closed(EQUAL_SUPERPOSITION, h, 1.02, 0.01)
+
+    def test_numpy_scalar_step_count_overflows_without_warning(self):
+        # numpy scalars warn on overflow, where Python floats give inf; warnings are errors here.
+        with pytest.raises(StepSizeError) as excinfo:
+            evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0),
+                          np.float64(1e308), np.float64(1e-3))
+        assert str(excinfo.value) == "t_max / dt = inf exceeds the limit of 1000000000 steps"
 
 
 class TestClosedEvolution:
@@ -623,6 +633,41 @@ def test_dephasing_matches_closed_form(epsilon, delta, p_e, radius, phase, t_max
     for k in np.linspace(0, len(series) - 1, 9).astype(int):
         exact = pure_dephasing_analytic(rho0, epsilon, delta, series.times[k]).matrix
         bound = k * local
+        assert abs(series.rho01[k] - exact[0, 1]) <= bound
+        assert abs(series.p_e[k] - exact[1, 1].real) <= bound
+        assert abs(series.p_g[k] - exact[0, 0].real) <= bound
+
+
+@given(
+    epsilon=st.floats(0.0, 3.0),
+    delta=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+    t_max=st.floats(0.5, 5.0),
+    step_fraction=st.floats(0.25, 0.99),
+)
+def test_dephasing_matches_environment_overlap(epsilon, delta, theta, phi, t_max, step_fraction):
+    # The paper's two descriptions of decoherence: a master equation for the
+    # qubit alone, and a qubit entangled with an environment whose branch
+    # states overlap by s. For the pure state c_g|g> + c_e|e> under the
+    # channel sqrt(delta) sigma_z, they agree at s = e^{(i epsilon - 2 delta) t}:
+    # |s| = e^{-2 delta t} is the decay and arg s the free precession.
+    psi = ket_from_bloch(BlochAngles(theta, phi))
+    c_g, c_e = psi.amplitudes
+    dt = step_fraction * min(t_max / 10.0, dynamics._STEP_RESOLUTION / max(epsilon, delta, 1e-300))
+    series = evolve_lindblad(
+        density_from_ket(psi), QubitHamiltonian(epsilon=epsilon),
+        [LindbladChannel.pure_dephasing(delta)], t_max, dt,
+    )
+    # The RK4 bound of test_dephasing_matches_closed_form, checked at every
+    # sample; one more step's worth allows for the two ways of squaring the
+    # amplitudes into the start state.
+    z = abs(complex(2.0 * delta, epsilon)) * dt
+    local = abs(c_g * c_e) * z**5 / 120.0 * np.exp(z) + 8.0 * np.finfo(float).eps
+    for k, t in enumerate(series.times):
+        overlap = np.exp(complex(-2.0 * delta, epsilon) * t)
+        exact = reduced_with_overlap(c_g, c_e, overlap).matrix
+        bound = (k + 1) * local
         assert abs(series.rho01[k] - exact[0, 1]) <= bound
         assert abs(series.p_e[k] - exact[1, 1].real) <= bound
         assert abs(series.p_g[k] - exact[0, 0].real) <= bound

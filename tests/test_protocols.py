@@ -272,6 +272,15 @@ class TestFigureOfMerit:
         with pytest.raises(DomainError):
             figure_of_merit(-0.1, 1.0)
 
+    @pytest.mark.parametrize("omega", [1e-320, np.float64(1e-320), 5e-324])
+    def test_overflowing_ratio_raises_naming_the_drive(self, omega):
+        with pytest.raises(DomainError, match="^drive amplitude .* is too small"):
+            figure_of_merit(1e-3, omega)
+
+    @pytest.mark.parametrize("omega", [5e-324, 1e-300, 1.0, 1e308])
+    def test_no_decoherence_at_any_drive(self, omega):
+        assert figure_of_merit(0.0, omega) == 0.0
+
 
 @pytest.mark.parametrize("delta", [-0.1, np.nan, np.inf])
 @pytest.mark.parametrize("entry", [
