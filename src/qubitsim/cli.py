@@ -161,6 +161,10 @@ def _handle_ramsey(args):
 
 def _dephasing_start(args) -> DensityMatrix:
     p_e = args.p_e_init
+    for flag, value in (("--p-e-init", p_e), ("--rho01-init-re", args.rho01_init_re),
+                        ("--rho01-init-im", args.rho01_init_im)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
     coherence = complex(args.rho01_init_re, args.rho01_init_im)
 
     def state(c):
@@ -312,6 +316,9 @@ def main(argv=None) -> int:
         return 3
     except (QubitSimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's text names the allocation; Python's own is empty
+        print(f"error: {str(exc) or 'not enough memory for this run'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

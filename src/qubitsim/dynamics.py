@@ -34,6 +34,7 @@ from .qstate import (
     HERMITICITY_TOL,
     POSITIVITY_FLOOR,
     SPACING_RTOL,
+    SPACING_ULPS,
     TRACE_TOL,
     DensityMatrix,
     _as_density,
@@ -158,7 +159,8 @@ class TimeSeries:
             dt = steps[0]
             if not dt > 0:
                 raise ValueError("sample times must be strictly increasing")
-            if not np.max(np.abs(steps - dt)) <= SPACING_RTOL * max(1.0, abs(dt)):
+            rounding = SPACING_ULPS * np.spacing(max(abs(self.times[0]), abs(self.times[-1])))
+            if not np.max(np.abs(steps - dt)) <= SPACING_RTOL * max(1.0, abs(dt)) + rounding:
                 raise ValueError("sample times must be uniformly spaced")
         for name in ("p_g", "p_e", "rho01"):
             if not np.isfinite(getattr(self, name)).all():

@@ -30,17 +30,12 @@ from .dynamics import (
     evolve_lindblad,
 )
 from .errors import DomainError, SamplingError
-from .qstate import NORM_ATOL, DensityMatrix, Ket, _as_density, density_from_ket
+from .qstate import NORM_ATOL, DensityMatrix, Ket, _as_density, _readonly, density_from_ket
 
 MESSAGES = ("00", "01", "10", "11")
 
 _IDENTITY = np.eye(2, dtype=complex)
-_ENCODING_OPS = {
-    "00": _IDENTITY,
-    "01": SIGMA_Z,
-    "10": SIGMA_X,
-    "11": SIGMA_Z @ SIGMA_X,
-}
+_ENCODING_OPS = (_IDENTITY, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X)  # in MESSAGES order
 
 
 def _check_points(n_points, error):
@@ -171,6 +166,13 @@ def figure_of_merit(delta: float, omega: float) -> float:
     return merit
 
 
+def _message_index(message) -> int:
+    """Position of message in MESSAGES; any other value raises DomainError."""
+    if message not in MESSAGES:
+        raise DomainError(f"message must be one of {MESSAGES}, got {message!r}")
+    return MESSAGES.index(message)
+
+
 def superdense_encode(message: str) -> Ket:
     """Two-qubit state carrying the message, made by a local operation.
 
@@ -178,10 +180,8 @@ def superdense_encode(message: str) -> Ket:
     to her qubit: identity for 00, sigma_z for 01, sigma_x for 10, and
     sigma_z sigma_x for 11. The four outputs are pairwise orthogonal.
     """
-    if message not in MESSAGES:
-        raise DomainError(f"message must be one of {MESSAGES}, got {message!r}")
     shared = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    return Ket(np.kron(_ENCODING_OPS[message], _IDENTITY) @ shared)
+    return Ket(np.kron(_ENCODING_OPS[_message_index(message)], _IDENTITY) @ shared)
 
 
 # Entangled two-qubit basis, ordered to match MESSAGES: the four encoded states.
@@ -220,6 +220,15 @@ def damp_first_qubit_coherence(rho, factor: float) -> DensityMatrix:
     return DensityMatrix(mat * mask)
 
 
+# Decode rows of each encoded state, intact and with its sender-side coherence
+# gone, in MESSAGES order: every superdense probability lies on the line between.
+_DECODE_ROWS = tuple(
+    (_readonly(superdense_decode(pure)[1]),
+     _readonly(superdense_decode(damp_first_qubit_coherence(pure, 0.0))[1]))
+    for pure in map(density_from_ket, BELL_BASIS)
+)
+
+
 @dataclass(frozen=True, eq=False)
 class SuperdenseSweep:
     """Decode success probability per message over a grid of channel durations."""
@@ -245,9 +254,7 @@ def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
         raise DomainError(
             f"channel duration must be finite and non-negative, got {times[~valid][0]}"
         )
-    encoded = density_from_ket(superdense_encode(message))
-    _, intact = superdense_decode(encoded)
-    _, dephased = superdense_decode(damp_first_qubit_coherence(encoded, 0.0))
+    intact, dephased = _DECODE_ROWS[_message_index(message)]
     factor = _coherence_decay(delta, times)
     return dephased + factor[:, None] * (intact - dephased)
 

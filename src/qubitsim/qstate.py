@@ -22,11 +22,13 @@ EIGENVALUE_ATOL = 1e-9
 # CLI snaps a state that misses by up to this onto the nearest state.
 TYPED_ATOL = 1e-6
 # Values the program computed, checked on every trajectory sample: positivity is
-# monitored, not projected back. Sample steps agree to SPACING_RTOL * max(1, dt).
+# monitored, not projected back. Sample steps agree to SPACING_RTOL * max(1, dt),
+# plus SPACING_ULPS ulp of the largest |t|, by which rounding t0 + k dt moves them.
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 SPACING_RTOL = 1e-9
+SPACING_ULPS = 4
 
 _SUPPORTED_DIMS = (2, 4)
 _TWO_PI = 2.0 * np.pi

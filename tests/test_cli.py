@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
-from qubitsim import cli
+from qubitsim import cli, dynamics
 from qubitsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -291,6 +291,13 @@ class TestInterferenceCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["data"]["intensity"] == pytest.approx([1.0] * 51)
+
+    @pytest.mark.parametrize("points", ["1", "0", "-1"])
+    def test_too_few_points_exit_2(self, capsys, points):
+        args = list(self.FLAT_ARGS)
+        args[args.index("--points") + 1] = points
+        expected = f"error: --points must be at least 2, got {points}\n"
+        assert run_cli(capsys, args) == (2, "", expected)
 
     def test_geometry_validation_exits_2(self, capsys):
         args = list(self.FLAT_ARGS)
@@ -724,7 +731,7 @@ def test_main_json_is_json_dumps_layout(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", ["1e300", "1e308", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["1e300", "1e308", "inf", "-inf", "nan"])
 @pytest.mark.parametrize("flag", ["--rho01-init-re", "--rho01-init-im", "--p-e-init"])
 def test_overflowing_start_state_exits_2_with_one_line(capsys, flag, value):
     argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
@@ -732,10 +739,10 @@ def test_overflowing_start_state_exits_2_with_one_line(capsys, flag, value):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     # Exactly one line: the error, with no numpy warning before it.
-    if flag != "--p-e-init":
+    if value in ("inf", "-inf", "nan"):
+        expected = re.escape(f"error: {flag} must be finite, got {value}")
+    elif flag != "--p-e-init":
         expected = r"error: --rho01-init-re and --rho01-init-im exceed .* min eigenvalue -inf .*"
-    elif value.endswith("inf"):
-        expected = r"error: density matrix entries must be finite"
     else:
         expected = r"error: --p-e-init must lie in \[0, 1\], got 1e\+30[08]"
     assert re.fullmatch(expected + "\n", err)
@@ -749,3 +756,47 @@ def test_subnormal_rabi_drive_exits_2(capsys, fmt):
     assert (code, out) == (2, "")
     assert err == ("error: drive amplitude 1e-320 is too small: delta / omega overflows "
                    "for dephasing rate 0.001\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_drift_exits_3_naming_the_step(capsys, monkeypatch, fmt):
+    def drifting(rho0, h, channels, dt, n_steps):
+        traj = np.tile(rho0.reshape(4), (n_steps + 1, 1))
+        traj[7:, 0] += 1e-6  # the trace leaves its tolerance at step 7
+        return traj
+
+    monkeypatch.setattr(dynamics, "_integrate_static", drifting)
+    argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
+            "--format", fmt]
+    assert run_cli(capsys, argv) == (3, "", "error: trace deviated by 1.000e-06 at step 7\n")
+
+
+NUMPY_MEMORY_TEXT = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                     "and data type float64")
+
+
+@pytest.mark.parametrize("text, line", [
+    (NUMPY_MEMORY_TEXT, NUMPY_MEMORY_TEXT), ("", "not enough memory for this run"),
+], ids=["numpy", "empty"])
+@pytest.mark.parametrize("argv, allocation", [
+    (["ramsey", "--delta-split", "1e-9", "--tau-max", "1", "--points", "1000000000000"],
+     "linspace"),
+    (["superdense", "--message", "00", "--delta", "0.1", "--t-max", "1",
+      "--points", "1000000000000"], "linspace"),
+    (["interference", "--k", "1", "--slit-spacing", "0.01", "--screen-distance", "1",
+      "--a", "1", "--b", "0", "--phi", "0", "--x-min", "-1", "--x-max", "1",
+      "--points", "1000000000000"], "linspace"),
+    (["dephasing", "--epsilon", "0.5", "--delta", "0.01", "--t-max", "1e8", "--dt", "0.1"],
+     "empty"),
+], ids=["ramsey", "superdense", "interference", "dephasing"])
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv, allocation,
+                                             text, line):
+    # The allocation is refused before it is made: no test allocates for real.
+    def refuse(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(np, allocation, refuse)
+    target = tmp_path / "out.csv"
+    assert run_cli(capsys, argv) == (2, "", f"error: {line}\n")
+    assert run_cli(capsys, argv + ["--output", str(target)]) == (2, "", f"error: {line}\n")
+    assert list(tmp_path.iterdir()) == []

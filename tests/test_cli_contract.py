@@ -1,4 +1,4 @@
-"""The CLI error contract, over every float flag of every subcommand.
+"""The CLI error contract, over every float and integer flag of every subcommand.
 
 For any argv that argparse accepts, main() either returns 0 with empty
 stderr and only finite numbers in its output, or returns 2, 3 or 4 with
@@ -30,18 +30,20 @@ BASES = {
 }
 
 EDGE_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e300", "1e308", "inf", "-inf", "nan", "-1")
+INT_VALUES = ("-1", "0", "1", "2")
 
 
-def _float_flags():
-    """(subcommand, flag) for every float-typed option the parser defines."""
+def _flags(kind):
+    """(subcommand, flag) for every option of type kind that the parser defines."""
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     return [(name, action.option_strings[0])
             for name, parser in subparsers.choices.items()
-            for action in parser._actions if action.type is float]
+            for action in parser._actions if action.type is kind]
 
 
-FLOAT_FLAGS = _float_flags()
+FLOAT_FLAGS = _flags(float)
+INT_FLAGS = _flags(int)
 
 
 def _argv(command, flag, value, fmt):
@@ -87,6 +89,11 @@ def test_every_subcommand_has_float_flags():
     assert {command for command, _ in FLOAT_FLAGS} == set(BASES)
 
 
+def test_integer_flags_are_points_and_jobs():
+    points = {(command, "--points") for command in ("interference", "ramsey", "superdense")}
+    assert set(INT_FLAGS) == points | {(command, "--jobs") for command in BASES}
+
+
 @pytest.mark.parametrize("command", BASES)
 def test_bases_run(capsys, command):
     assert main([command, *BASES[command]]) == 0
@@ -96,6 +103,14 @@ def test_bases_run(capsys, command):
 @pytest.mark.parametrize("value", EDGE_VALUES)
 @pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[" ".join(f) for f in FLOAT_FLAGS])
 def test_edge_values_keep_the_contract(command, flag, value):
+    for fmt in ("csv", "json"):
+        assert_contract(_argv(command, flag, value, fmt))
+
+
+@pytest.mark.parametrize("value", INT_VALUES)
+@pytest.mark.parametrize("command, flag", INT_FLAGS, ids=[" ".join(f) for f in INT_FLAGS])
+def test_integer_values_keep_the_contract(command, flag, value):
+    # The superdense base has --t-max, so its --points varies a sweep.
     for fmt in ("csv", "json"):
         assert_contract(_argv(command, flag, value, fmt))
 

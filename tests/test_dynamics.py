@@ -14,6 +14,7 @@ from qubitsim import (
     SIGMA_Z,
     BlochAngles,
     DensityMatrix,
+    DimensionError,
     DomainError,
     DriveMode,
     Ket,
@@ -165,6 +166,11 @@ class TestLindbladChannel:
         with pytest.raises(ValueError):
             LindbladChannel(np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="^channel operator entries must be finite$"):
+            LindbladChannel([[0.0, bad], [0.0, 0.0]])
+
 
 class TestStepGuards:
     def test_dt_vs_t_max(self):
@@ -284,6 +290,10 @@ class TestClosedEvolution:
 
 
 class TestLindbladEvolution:
+    def test_rejects_two_qubit_state(self):
+        with pytest.raises(DimensionError, match="^time evolution supports single-qubit states"):
+            evolve_lindblad(np.eye(4) / 4.0, QubitHamiltonian(epsilon=1.0), (), 1.0, 0.01)
+
     def test_no_channels_reduces_to_closed(self):
         h = QubitHamiltonian(epsilon=1.0)
         open_series = evolve_lindblad(EQUAL_SUPERPOSITION, h, [], 5.0, 0.01)
@@ -938,6 +948,26 @@ class TestTimeSeries:
         columns = {"p_g": np.full(3, 0.5), "p_e": np.full(3, 0.5), "rho01": np.zeros(3)}
         if within:
             assert TimeSeries(times=times, **columns).dt == dt
+        else:
+            with pytest.raises(ValueError, match="^sample times must be uniformly spaced$"):
+                TimeSeries(times=times, **columns)
+
+    def test_uniform_grid_far_from_zero(self):
+        # Rounding 9e6 + 0.9 k moves a step by one ulp of 9e6 (1.86e-9), past 1e-9 * max(1, dt).
+        times = 9e6 + 0.9 * np.arange(1000)
+        zeros = np.zeros(1000)
+        assert TimeSeries(times=times, p_g=zeros, p_e=zeros, rho01=zeros).dt == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("ulps, within", [(1, True), (12, False)])
+    def test_spacing_rounding_allowance_edge(self, ulps, within):
+        # Far from t = 0 the steps may also differ by 4 ulp of the largest |t|, held here
+        # at about 1/3 and 3 times that and written out, so that a changed value in the
+        # qstate table fails. At 2**33 one ulp is 2**-19, so the 1e-9 part hardly counts.
+        t0 = 2.0**33
+        times = np.array([t0, t0 + 1.0, t0 + 2.0 + ulps * np.spacing(t0)])
+        columns = {"p_g": np.full(3, 0.5), "p_e": np.full(3, 0.5), "rho01": np.zeros(3)}
+        if within:
+            assert TimeSeries(times=times, **columns).dt == 1.0
         else:
             with pytest.raises(ValueError, match="^sample times must be uniformly spaced$"):
                 TimeSeries(times=times, **columns)

@@ -26,6 +26,8 @@ from qubitsim import (
     superdense_encode,
     superdense_success_probability,
 )
+from qubitsim import protocols
+from qubitsim.cli import main
 from qubitsim.dynamics import (
     LindbladChannel,
     QubitHamiltonian,
@@ -153,6 +155,14 @@ class TestRamseyScan:
         p_e = 0.5 + 2.0 * scale * 1e-12 * np.cos(taus)
         series = TimeSeries(times=taus, p_g=1.0 - p_e, p_e=p_e, rho01=np.zeros(n))
         assert fringe_frequency(series) == (0.0 if flat else pytest.approx(1.0, rel=0.01))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_frequency_needs_four_samples(self, n):
+        series = TimeSeries(times=np.arange(n), p_g=np.full(n, 0.5), p_e=np.full(n, 0.5),
+                            rho01=np.zeros(n))
+        with pytest.raises(SamplingError) as excinfo:
+            fringe_frequency(series)
+        assert str(excinfo.value) == "need at least 4 uniform samples to estimate a frequency"
 
     def test_nyquist_guard(self):
         cfg = RamseyConfig(delta_split=100.0, tau_max=10.0, n_points=16)
@@ -377,6 +387,16 @@ class TestSuperdenseDecoding:
         with pytest.raises(DomainError):
             damp_first_qubit_coherence(rho, 1.5)
 
+    @pytest.mark.parametrize("call, message", [
+        (superdense_decode, "superdense decoding requires a two-qubit state"),
+        (lambda rho: damp_first_qubit_coherence(rho, 0.5),
+         "first-qubit damping requires a two-qubit state"),
+    ], ids=["decode", "damp"])
+    def test_one_qubit_state_is_rejected(self, call, message):
+        with pytest.raises(DomainError) as excinfo:
+            call(DensityMatrix(np.eye(2) / 2.0))
+        assert str(excinfo.value) == message
+
     def test_damping_identity(self):
         rho = density_from_ket(superdense_encode("01"))
         assert np.allclose(damp_first_qubit_coherence(rho, 1.0).matrix, rho.matrix)
@@ -389,6 +409,65 @@ class TestSuperdenseDecoding:
         )
         damped = damp_first_qubit_coherence(joint, 0.0)
         assert damped.matrix[0, 1] == pytest.approx(0.5)
+
+
+class TestDecodeTable:
+    """The two decode rows per message that every superdense probability is read from."""
+
+    def test_rows_are_the_decodes_of_the_encoded_states(self):
+        assert len(protocols._DECODE_ROWS) == len(MESSAGES)
+        for message, (intact, dephased) in zip(MESSAGES, protocols._DECODE_ROWS):
+            encoded = density_from_ket(superdense_encode(message))
+            damped = damp_first_qubit_coherence(encoded, 0.0)
+            # Bitwise: the derived rows differ from 0.5 and 1.0 in the last bit.
+            assert intact.tobytes() == superdense_decode(encoded)[1].tobytes()
+            assert dephased.tobytes() == superdense_decode(damped)[1].tobytes()
+            assert not (intact.flags.writeable or dephased.flags.writeable)
+
+    @pytest.mark.parametrize("message", MESSAGES)
+    def test_probabilities_are_bitwise_the_decode_line(self, message):
+        # Closed-form rows such as (1 + f) / 2 would change the last bit, and JSON output.
+        encoded = density_from_ket(superdense_encode(message))
+        intact = superdense_decode(encoded)[1]
+        dephased = superdense_decode(damp_first_qubit_coherence(encoded, 0.0))[1]
+        times = np.linspace(0.0, 6.0, 25)
+        want = dephased + np.exp(-2.0 * (0.25 * times))[:, None] * (intact - dephased)
+        assert _superdense_probabilities(message, 0.25, times).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("run", [
+        lambda: main(["superdense", "--message", "11", "--delta", "0.25"]) == 0,
+        lambda: main(["superdense", "--message", "01", "--delta", "0.25", "--t-max", "6",
+                      "--points", "61", "--format", "json"]) == 0,
+        lambda: superdense_channel_sweep(0.25, 6.0, 61).times.size == 61,
+        lambda: 0.5 < superdense_success_probability("10", 0.25, 1.0) < 1.0,
+    ], ids=["cli-single", "cli-sweep", "sweep", "success-probability"])
+    def test_calls_build_no_state(self, monkeypatch, capsys, run):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a superdense call redid the state algebra")
+
+        for name in ("superdense_encode", "superdense_decode", "damp_first_qubit_coherence",
+                     "density_from_ket"):
+            monkeypatch.setattr(protocols, name, refuse)
+        monkeypatch.setattr(Ket, "__init__", refuse)
+        monkeypatch.setattr(DensityMatrix, "__init__", refuse)
+        assert run()
+
+    def test_checks_run_delta_then_durations_then_message(self):
+        with pytest.raises(DomainError, match="^dephasing rate must be non-negative"):
+            _superdense_probabilities("2", -1.0, [-1.0])
+        with pytest.raises(DomainError, match="^channel duration must be finite"):
+            _superdense_probabilities("2", 0.1, [-1.0])
+
+    @pytest.mark.parametrize("message", ["2", ["00"], None, {"00": 1}])
+    def test_unknown_message_gets_the_encoder_message(self, message):
+        # An unhashable message is tested against the tuple, so it raises no TypeError.
+        for call in (lambda: _superdense_probabilities(message, 0.1, [1.0]),
+                     lambda: superdense_encode(message)):
+            with pytest.raises(DomainError) as excinfo:
+                call()
+            assert str(excinfo.value) == (
+                f"message must be one of ('00', '01', '10', '11'), got {message!r}"
+            )
 
 
 class TestSuperdenseSweep:

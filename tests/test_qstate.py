@@ -89,6 +89,12 @@ class TestDensityMatrixValidation:
         with pytest.raises(InvalidStateError):
             DensityMatrix([[0.5, 1.0], [1.0, 0.5]])
 
+    @pytest.mark.parametrize("elements", [np.zeros((2, 4)), [0.5, 0.5], np.zeros((2, 2, 2))],
+                             ids=["2x4", "vector", "3-axis"])
+    def test_rejects_non_square(self, elements):
+        with pytest.raises(DimensionError, match="^density matrix must be square, got shape"):
+            DensityMatrix(elements)
+
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(3) / 3.0)
