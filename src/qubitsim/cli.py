@@ -105,8 +105,11 @@ def _atomic_write(path: str, text: str):
 def _deliver(text: str, destination):
     if destination is None or destination == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         _atomic_write(destination, text)
+    except OSError as exc:  # its text would name the random temp file, not the flag
+        raise OSError(f"cannot write --output {destination}: {exc.strerror or exc}") from exc
 
 
 def _series_columns(series: TimeSeries):
@@ -204,7 +207,8 @@ def _handle_superdense(args):
     if (args.t_max is None) != (args.points is None):
         raise DomainError("--t-max and --points must be given together")
     if args.t_max is None:
-        probs = _superdense_probabilities(args.message, args.delta, [_SINGLE_SHOT_TIME])[0]
+        sent = MESSAGES.index(args.message)
+        probs = _superdense_probabilities(args.delta, [_SINGLE_SHOT_TIME])[0, sent]
         decoded = MESSAGES[int(np.argmax(probs))]
         args.transmission_time = _SINGLE_SHOT_TIME  # echoed in meta.parameters
         columns = [("outcome", list(MESSAGES)), ("probability", probs)]

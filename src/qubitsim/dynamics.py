@@ -379,6 +379,8 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
     _check_dephasing_rate(delta)
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"t must be finite and non-negative, got {t}")
+    if not math.isfinite(float(epsilon) * float(t)):  # a NaN or infinite epsilon fails too
+        raise DomainError(f"epsilon * t must be finite, got epsilon {epsilon} at t = {t}")
     mat = _as_density(rho0).matrix
     factor = _coherence_decay(delta, t) * np.exp(-1j * epsilon * t)
     upper = mat[0, 1] * factor
@@ -389,4 +391,7 @@ def dephasing_time(delta: float) -> float:
     """Coherence 1/e-decay time T2 = 1/(2*delta) of the pure-dephasing channel."""
     if not (np.isfinite(delta) and delta > 0):
         raise DomainError(f"dephasing rate must be positive, got {delta}")
-    return 1.0 / (2.0 * delta)
+    t2 = 0.5 / float(delta)  # a Python float overflows to inf; a numpy scalar warns
+    if not math.isfinite(t2):
+        raise DomainError(f"dephasing rate {delta} is too small: T2 = 1/(2 delta) overflows")
+    return t2

@@ -220,13 +220,12 @@ def damp_first_qubit_coherence(rho, factor: float) -> DensityMatrix:
     return DensityMatrix(mat * mask)
 
 
-# Decode rows of each encoded state, intact and with its sender-side coherence
-# gone, in MESSAGES order: every superdense probability lies on the line between.
-_DECODE_ROWS = tuple(
-    (_readonly(superdense_decode(pure)[1]),
-     _readonly(superdense_decode(damp_first_qubit_coherence(pure, 0.0))[1]))
-    for pure in map(density_from_ket, BELL_BASIS)
-)
+# Decode of each encoded state, intact and with its sender-side coherence gone:
+# row i is message i in MESSAGES order. Every superdense probability lies between.
+_PURE = tuple(map(density_from_ket, BELL_BASIS))
+_INTACT = _readonly(np.array([superdense_decode(rho)[1] for rho in _PURE]))
+_DEPHASED = _readonly(np.array([superdense_decode(damp_first_qubit_coherence(rho, 0.0))[1]
+                                for rho in _PURE]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +239,8 @@ class SuperdenseSweep:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
 
 
-def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
-    """Decode probabilities, one row per channel duration in times, in MESSAGES order.
+def _superdense_probabilities(delta: float, times) -> np.ndarray:
+    """Decode probabilities indexed [duration in times, sent message, outcome]; MESSAGES order.
 
     Decoding is linear in rho and the channel scales the sender-side
     coherences by f = e^{-2 delta t}, so every row is p(0) + f (p(1) - p(0)),
@@ -254,15 +253,16 @@ def _superdense_probabilities(message: str, delta: float, times) -> np.ndarray:
         raise DomainError(
             f"channel duration must be finite and non-negative, got {times[~valid][0]}"
         )
-    intact, dephased = _DECODE_ROWS[_message_index(message)]
-    factor = _coherence_decay(delta, times)
-    return dephased + factor[:, None] * (intact - dephased)
+    probs = _coherence_decay(delta, times)[:, None, None] * (_INTACT - _DEPHASED)
+    probs += _DEPHASED  # in place, so a long sweep holds one array at a time
+    return probs
 
 
 def superdense_success_probability(message: str, delta: float, t: float) -> float:
     """Probability that the message survives dephasing of the sender's qubit for time t."""
-    probs = _superdense_probabilities(message, delta, [t])[0]
-    return float(probs[MESSAGES.index(message)])
+    probs = _superdense_probabilities(delta, [t])
+    i = _message_index(message)
+    return float(probs[0, i, i])
 
 
 def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> SuperdenseSweep:
@@ -276,8 +276,6 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
         raise DomainError(f"t_max must be positive, got {t_max}")
     _check_points(n_points, DomainError)
     times = np.linspace(0.0, t_max, n_points)
-    success = {
-        msg: _superdense_probabilities(msg, delta, times)[:, i]
-        for i, msg in enumerate(MESSAGES)
-    }
+    probs = _superdense_probabilities(delta, times)
+    success = {msg: probs[:, i, i] for i, msg in enumerate(MESSAGES)}
     return SuperdenseSweep(times=times, success=success)

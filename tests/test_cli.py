@@ -446,6 +446,19 @@ class TestDeterminismAndOutput:
         assert code == 4
         assert "error:" in err
 
+    @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                               ("directory", "Is a directory")])
+    def test_failed_write_names_the_path_as_typed(self, capsys, tmp_path, monkeypatch, where,
+                                                  reason):
+        # The temp file's name is random, so naming it would make identical flags differ.
+        monkeypatch.chdir(tmp_path)
+        if where == "directory":
+            os.mkdir("run.csv")
+        typed = "no_such_dir/run.csv" if where == "missing" else "run.csv"
+        first, second = (run_cli(capsys, self.ARGS + ["--output", typed]) for _ in range(2))
+        assert first == second == (4, "", f"error: cannot write --output {typed}: {reason}\n")
+        assert os.listdir() == (["run.csv"] if where == "directory" else [])
+
     def test_new_output_file_follows_the_umask(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         saved = os.umask(0o022)

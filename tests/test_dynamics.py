@@ -1,6 +1,7 @@
 """Tests for closed and open single-qubit evolution."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -870,6 +871,14 @@ class TestAnalyticDephasing:
         with pytest.raises(DomainError, match=f"^t must be finite and non-negative, got {t}$"):
             pure_dephasing_analytic(EQUAL_SUPERPOSITION, 1.0, 0.0, t)
 
+    @pytest.mark.parametrize("epsilon, t", [(np.nan, 0.1), (np.inf, 0.0), (-np.inf, 1.0),
+                                            (1e308, 1e10), (np.float64(1e308), np.float64(1e10))])
+    def test_rejects_a_phase_epsilon_t_that_is_not_finite(self, epsilon, t):
+        # Warnings are errors in this suite, so an overflow in exp or in the product fails too.
+        message = f"epsilon * t must be finite, got epsilon {epsilon} at t = {t}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            pure_dephasing_analytic(EQUAL_SUPERPOSITION, epsilon, 0.1, t)
+
 
 class TestCoherenceDecay:
     """The one dephasing factor e^{-2 delta t} that every closed form uses."""
@@ -903,6 +912,14 @@ class TestDephasingTime:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             dephasing_time(0.0)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320, np.float64(1e-320)])
+    def test_overflowing_time_raises_naming_the_rate(self, delta):
+        with pytest.raises(DomainError, match=f"^dephasing rate {delta} is too small"):
+            dephasing_time(delta)
+
+    def test_largest_rate_gives_a_positive_time(self):
+        assert dephasing_time(1e308) == 0.5 / 1e308 > 0.0
 
 
 class TestTimeSeries:

@@ -297,7 +297,7 @@ class TestFigureOfMerit:
     LindbladChannel.pure_dephasing,
     lambda delta: pure_dephasing_analytic(DensityMatrix(np.eye(2) / 2), 1.0, delta, 1.0),
     lambda delta: figure_of_merit(delta, 1.0),
-    lambda delta: _superdense_probabilities("00", delta, [1.0]),
+    lambda delta: _superdense_probabilities(delta, [1.0]),
 ], ids=["pure_dephasing", "pure_dephasing_analytic", "figure_of_merit", "superdense"])
 def test_every_dephasing_rate_entry_gives_one_message(entry, delta):
     with pytest.raises(DomainError) as excinfo:
@@ -412,11 +412,11 @@ class TestSuperdenseDecoding:
 
 
 class TestDecodeTable:
-    """The two decode rows per message that every superdense probability is read from."""
+    """The intact and dephased decode matrices behind every superdense probability."""
 
     def test_rows_are_the_decodes_of_the_encoded_states(self):
-        assert len(protocols._DECODE_ROWS) == len(MESSAGES)
-        for message, (intact, dephased) in zip(MESSAGES, protocols._DECODE_ROWS):
+        assert protocols._INTACT.shape == protocols._DEPHASED.shape == (len(MESSAGES), 4)
+        for message, intact, dephased in zip(MESSAGES, protocols._INTACT, protocols._DEPHASED):
             encoded = density_from_ket(superdense_encode(message))
             damped = damp_first_qubit_coherence(encoded, 0.0)
             # Bitwise: the derived rows differ from 0.5 and 1.0 in the last bit.
@@ -432,7 +432,8 @@ class TestDecodeTable:
         dephased = superdense_decode(damp_first_qubit_coherence(encoded, 0.0))[1]
         times = np.linspace(0.0, 6.0, 25)
         want = dephased + np.exp(-2.0 * (0.25 * times))[:, None] * (intact - dephased)
-        assert _superdense_probabilities(message, 0.25, times).tobytes() == want.tobytes()
+        got = _superdense_probabilities(0.25, times)[:, MESSAGES.index(message)]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("run", [
         lambda: main(["superdense", "--message", "11", "--delta", "0.25"]) == 0,
@@ -452,16 +453,27 @@ class TestDecodeTable:
         monkeypatch.setattr(DensityMatrix, "__init__", refuse)
         assert run()
 
+    def test_sweep_checks_the_rate_and_computes_the_decay_once(self, monkeypatch):
+        calls = dict.fromkeys(("_check_dephasing_rate", "_coherence_decay"), 0)
+        for name in calls:
+            def spy(*args, name=name, original=getattr(protocols, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(protocols, name, spy)
+        superdense_channel_sweep(0.25, 6.0, 61)
+        assert calls == {"_check_dephasing_rate": 1, "_coherence_decay": 1}
+
     def test_checks_run_delta_then_durations_then_message(self):
         with pytest.raises(DomainError, match="^dephasing rate must be non-negative"):
-            _superdense_probabilities("2", -1.0, [-1.0])
+            superdense_success_probability("2", -1.0, -1.0)
         with pytest.raises(DomainError, match="^channel duration must be finite"):
-            _superdense_probabilities("2", 0.1, [-1.0])
+            superdense_success_probability("2", 0.1, -1.0)
 
     @pytest.mark.parametrize("message", ["2", ["00"], None, {"00": 1}])
     def test_unknown_message_gets_the_encoder_message(self, message):
         # An unhashable message is tested against the tuple, so it raises no TypeError.
-        for call in (lambda: _superdense_probabilities(message, 0.1, [1.0]),
+        for call in (lambda: superdense_success_probability(message, 0.1, 1.0),
                      lambda: superdense_encode(message)):
             with pytest.raises(DomainError) as excinfo:
                 call()
@@ -534,7 +546,7 @@ class TestSuperdenseClosedForm:
     @pytest.mark.parametrize("message", MESSAGES)
     def test_all_outcomes(self, message):
         for delta in SUPERDENSE_RATES:
-            got = _superdense_probabilities(message, delta, SUPERDENSE_TIMES)
+            got = _superdense_probabilities(delta, SUPERDENSE_TIMES)[:, MESSAGES.index(message)]
             want = superdense_closed_form(message, delta, SUPERDENSE_TIMES)
             assert np.max(np.abs(got - want)) <= 1e-15
 

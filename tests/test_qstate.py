@@ -379,6 +379,16 @@ class TestReducedWithOverlap:
         with pytest.raises(InvalidStateError):
             reduced_with_overlap(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("c_g0, c_e1", [(np.nan, INV_SQRT2), (INV_SQRT2, complex(0, np.nan))])
+    def test_nan_amplitude_is_named(self, c_g0, c_e1):
+        with pytest.raises(InvalidStateError, match="^branch amplitudes are not normalized"):
+            reduced_with_overlap(c_g0, c_e1, 0.5)
+
+    @pytest.mark.parametrize("overlap", [np.nan, complex(0.5, np.nan)])
+    def test_nan_overlap_is_named(self, overlap):
+        with pytest.raises(InvalidOverlapError, match="^environment overlap magnitude nan"):
+            reduced_with_overlap(INV_SQRT2, INV_SQRT2, overlap)
+
 
 class TestPurity:
     def test_pure_superposition(self):
