@@ -27,7 +27,7 @@ from .dynamics import (
     TimeSeries,
     evolve_lindblad,
 )
-from .errors import DomainError, NumericalInstabilityError, QubitSimError
+from .errors import DomainError, NumericalInstabilityError, QubitSimError, _check_domain
 from .interference import PhotonState, SlitGeometry, quantum_intensity
 from .protocols import (
     MESSAGES,
@@ -166,8 +166,7 @@ def _dephasing_start(args) -> DensityMatrix:
     p_e = args.p_e_init
     for flag, value in (("--p-e-init", p_e), ("--rho01-init-re", args.rho01_init_re),
                         ("--rho01-init-im", args.rho01_init_im)):
-        if not math.isfinite(value):
-            raise DomainError(f"{flag} must be finite, got {value}")
+        _check_domain(value, flag)
     coherence = complex(args.rho01_init_re, args.rho01_init_im)
 
     def state(c):

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalInstabilityError, StepSizeError
+from .errors import (DimensionError, DomainError, NumericalInstabilityError, StepSizeError,
+                     _check_domain)
 from .qstate import (
     HERMITICITY_TOL,
     POSITIVITY_FLOOR,
@@ -53,11 +54,6 @@ _MAX_STEPS = 10**9
 # Driven step maps are built this many at a time, so memory stays bounded
 # for long runs.
 _DRIVEN_BATCH = 4096
-
-
-def _check_dephasing_rate(delta: float):
-    if not (np.isfinite(delta) and delta >= 0):
-        raise DomainError(f"dephasing rate must be non-negative, got {delta}")
 
 
 def _coherence_decay(delta, t):
@@ -93,9 +89,7 @@ class QubitHamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "drive_mode", DriveMode(self.drive_mode))
         for name in ("epsilon", "omega_rabi", "omega0"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _check_domain(getattr(self, name), name, "finite and non-negative", ValueError)
         if self.drive_mode is DriveMode.NONE and self.omega_rabi != 0.0:
             raise ValueError("drive_mode NONE requires omega_rabi = 0")
 
@@ -126,7 +120,7 @@ class LindbladChannel:
     @classmethod
     def pure_dephasing(cls, delta: float) -> "LindbladChannel":
         """Channel sqrt(delta) sigma_z: random splitting fluctuations at rate delta."""
-        _check_dephasing_rate(delta)
+        _check_domain(delta, "dephasing rate", "finite and non-negative")
         return cls(np.sqrt(delta) * SIGMA_Z)
 
     @property
@@ -191,7 +185,8 @@ def _hamiltonian_parts(h: QubitHamiltonian):
 
 
 def hamiltonian_at(h: QubitHamiltonian, t: float) -> np.ndarray:
-    """Hamiltonian matrix at time t for the configured drive mode."""
+    """Hamiltonian matrix at time t for the configured drive mode; t must be finite."""
+    _check_domain(t, "t")
     static, drive = _hamiltonian_parts(h)
     return static + np.cos(h.omega0 * t) * drive
 
@@ -199,8 +194,7 @@ def hamiltonian_at(h: QubitHamiltonian, t: float) -> np.ndarray:
 def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float) -> int:
     """Step count round(t_max / dt) of a run; raises StepSizeError if a step rule fails."""
     for name, value in (("t_max", t_max), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
-            raise StepSizeError(f"{name} must be positive, got {value}")
+        _check_domain(value, name, "finite and positive", StepSizeError)
     if dt > t_max / 10:
         raise StepSizeError(f"dt = {dt} exceeds t_max/10 = {t_max / 10}")
     scales = [("max(epsilon, omega_rabi, omega0)", h.frequency_scale)]
@@ -326,10 +320,11 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
     lam_min = _min_eigenvalue_2x2(traj.reshape(-1, 2, 2))
     _raise_at_first_breach(lam_min >= POSITIVITY_FLOOR, lam_min,
                            "positivity breached (min eigenvalue {:.3e})")
+    del trace_err, herm_err, lam_min  # freed first, so the copies below add nothing to the peak
     times = dt * np.arange(traj.shape[0])
-    return TimeSeries(
-        times=times, p_g=traj[:, 0].real, p_e=traj[:, 3].real, rho01=traj[:, 1].copy()
-    )
+    # Copies, so the record does not keep the whole trajectory array alive.
+    return TimeSeries(times=times, p_g=traj[:, 0].real.copy(), p_e=traj[:, 3].real.copy(),
+                      rho01=traj[:, 1].copy())
 
 
 def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float) -> TimeSeries:
@@ -376,9 +371,8 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
     follows by conjugation; t must be finite and non-negative. The closed-form
     oracle for evolve_lindblad with the sqrt(delta) sigma_z channel.
     """
-    _check_dephasing_rate(delta)
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"t must be finite and non-negative, got {t}")
+    _check_domain(delta, "dephasing rate", "finite and non-negative")
+    _check_domain(t, "t", "finite and non-negative")
     if not math.isfinite(float(epsilon) * float(t)):  # a NaN or infinite epsilon fails too
         raise DomainError(f"epsilon * t must be finite, got epsilon {epsilon} at t = {t}")
     mat = _as_density(rho0).matrix
@@ -389,8 +383,7 @@ def pure_dephasing_analytic(rho0, epsilon: float, delta: float, t: float) -> Den
 
 def dephasing_time(delta: float) -> float:
     """Coherence 1/e-decay time T2 = 1/(2*delta) of the pure-dephasing channel."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise DomainError(f"dephasing rate must be positive, got {delta}")
+    _check_domain(delta, "dephasing rate", "finite and positive")
     t2 = 0.5 / float(delta)  # a Python float overflows to inf; a numpy scalar warns
     if not math.isfinite(t2):
         raise DomainError(f"dephasing rate {delta} is too small: T2 = 1/(2 delta) overflows")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InvalidStateError
+from .errors import GeometryError, InvalidStateError, _check_domain
 from .qstate import NORM_ATOL
 
 
@@ -31,8 +31,7 @@ class SlitGeometry:
     def __post_init__(self):
         for label, value in (("wavenumber", self.k), ("slit spacing", self.slit_spacing),
                              ("screen distance", self.screen_distance)):
-            if not (np.isfinite(value) and value > 0):
-                raise GeometryError(f"{label} must be positive, got {value}")
+            _check_domain(value, label, "finite and positive", GeometryError)
         if self.slit_spacing / self.screen_distance >= 0.1:
             raise GeometryError(
                 "far-field approximation requires slit_spacing / screen_distance < 0.1, "
@@ -58,8 +57,7 @@ class PhotonState:
         norm_sq = self.a**2 + self.b**2
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise InvalidStateError(f"path amplitudes are not normalized: a^2 + b^2 = {norm_sq!r}")
-        if not np.isfinite(self.phi):
-            raise InvalidStateError("relative phase must be finite")
+        _check_domain(self.phi, "relative phase", error=InvalidStateError)
 
 
 def classical_intensity(geom: SlitGeometry, x):

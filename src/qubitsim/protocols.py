@@ -25,11 +25,10 @@ from .dynamics import (
     LindbladChannel,
     QubitHamiltonian,
     TimeSeries,
-    _check_dephasing_rate,
     _coherence_decay,
     evolve_lindblad,
 )
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, _check_domain
 from .qstate import NORM_ATOL, DensityMatrix, Ket, _as_density, _readonly, density_from_ket
 
 MESSAGES = ("00", "01", "10", "11")
@@ -60,13 +59,10 @@ class RamseyConfig:
     dephasing_rate: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ValueError(f"tau_max must be positive, got {self.tau_max}")
+        _check_domain(self.tau_max, "tau_max", "finite and positive", ValueError)
         _check_points(self.n_points, ValueError)
-        if not np.isfinite(self.delta_split):
-            raise ValueError("delta_split must be finite")
-        if not (np.isfinite(self.dephasing_rate) and self.dephasing_rate >= 0):
-            raise ValueError(f"dephasing_rate must be non-negative, got {self.dephasing_rate}")
+        _check_domain(self.delta_split, "delta_split", error=ValueError)
+        _check_domain(self.dephasing_rate, "dephasing_rate", "finite and non-negative", ValueError)
 
     @property
     def tau_step(self) -> float:
@@ -156,9 +152,8 @@ def rabi_with_dephasing(omega: float, delta: float, epsilon: float,
 
 def figure_of_merit(delta: float, omega: float) -> float:
     """Gate-to-decoherence timescale ratio delta/omega; smaller is better."""
-    if not (np.isfinite(omega) and omega > 0):
-        raise DomainError(f"drive amplitude must be positive, got {omega}")
-    _check_dephasing_rate(delta)
+    _check_domain(omega, "drive amplitude", "finite and positive")
+    _check_domain(delta, "dephasing rate", "finite and non-negative")
     merit = float(delta) / float(omega)  # a Python float overflows to inf; a numpy scalar warns
     if not np.isfinite(merit):
         raise DomainError(f"drive amplitude {omega} is too small: delta / omega overflows "
@@ -246,13 +241,9 @@ def _superdense_probabilities(delta: float, times) -> np.ndarray:
     coherences by f = e^{-2 delta t}, so every row is p(0) + f (p(1) - p(0)),
     with p(f) the decode of the encoded state damped by f.
     """
-    _check_dephasing_rate(delta)
+    _check_domain(delta, "dephasing rate", "finite and non-negative")
     times = np.asarray(times, dtype=float)
-    valid = np.isfinite(times) & (times >= 0)
-    if not np.all(valid):
-        raise DomainError(
-            f"channel duration must be finite and non-negative, got {times[~valid][0]}"
-        )
+    _check_domain(times, "channel duration", "finite and non-negative")
     probs = _coherence_decay(delta, times)[:, None, None] * (_INTACT - _DEPHASED)
     probs += _DEPHASED  # in place, so a long sweep holds one array at a time
     return probs
@@ -272,10 +263,10 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
     each encoded state becomes indistinguishable from its partner of equal
     populations once the sender-side coherence is gone.
     """
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    _check_domain(t_max, "t_max", "finite and positive")
     _check_points(n_points, DomainError)
     times = np.linspace(0.0, t_max, n_points)
     probs = _superdense_probabilities(delta, times)
-    success = {msg: probs[:, i, i] for i, msg in enumerate(MESSAGES)}
+    # Copies, so the sweep does not keep the whole probability array alive.
+    success = {msg: probs[:, i, i].copy() for i, msg in enumerate(MESSAGES)}
     return SuperdenseSweep(times=times, success=success)

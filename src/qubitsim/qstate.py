@@ -239,7 +239,10 @@ def reduced_with_overlap(c_g0: complex, c_e1: complex, overlap: complex) -> Dens
     c0 = complex(c_g0)
     c1 = complex(c_e1)
     s = complex(overlap)
-    norm_sq = abs(c0) ** 2 + abs(c1) ** 2
+    try:
+        norm_sq = abs(c0) ** 2 + abs(c1) ** 2
+    except OverflowError:  # a Python float power raises where numpy would give inf
+        norm_sq = np.inf
     # Both tests ask whether the value is within tolerance, so that NaN fails them.
     if not abs(norm_sq - 1.0) <= NORM_ATOL:
         raise InvalidStateError(f"branch amplitudes are not normalized: |c_g0|^2 + |c_e1|^2 = {norm_sq!r}")

@@ -15,7 +15,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from test_cli import readme_commands
+from readme_commands import readme_commands
 
 from qubitsim import (
     DensityMatrix,

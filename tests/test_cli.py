@@ -6,18 +6,16 @@ import os
 import re
 import shlex
 import stat
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from readme_commands import readme_commands
 
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
 from qubitsim import cli, dynamics
 from qubitsim.cli import main
-
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -531,20 +529,6 @@ class TestArgumentParsing:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "qubitsim" in capsys.readouterr().out
-
-
-def readme_commands():
-    """Every `qubitsim ...` command in README.md, with and without its [...] flags."""
-    text = README.read_text().replace("\\\n", " ")
-    commands = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line.startswith("qubitsim "):
-            continue
-        commands.append(re.sub(r"\s*\[[^\]]*\]", "", line))
-        if "[" in line:
-            commands.append(line.replace("[", "").replace("]", ""))
-    return commands
 
 
 def test_readme_lists_commands():

@@ -150,6 +150,16 @@ class TestQubitHamiltonian:
             assert got.dtype == complex
             assert np.array_equal(got, np.array(matrix, dtype=complex))
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    def test_non_finite_time_is_named(self, mode, t):
+        # A static drive term is cos(0 * t) * 0, which is NaN at t = inf.
+        config = QubitHamiltonian(epsilon=2.0, omega_rabi=0.0 if mode is DriveMode.NONE else 1.5,
+                                  omega0=2.5, drive_mode=mode)
+        with pytest.raises(DomainError) as excinfo:
+            hamiltonian_at(config, t)
+        assert str(excinfo.value) == f"t must be finite, got {t}"
+
 
 class TestLindbladChannel:
     def test_pure_dephasing_operator(self):
@@ -196,12 +206,15 @@ class TestStepGuards:
     def test_nonpositive_dt(self):
         with pytest.raises(StepSizeError) as excinfo:
             evolve_closed(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0), 10.0, 0.0)
-        assert str(excinfo.value) == "dt must be positive, got 0.0"
+        assert str(excinfo.value) == "dt must be finite and positive, got 0.0"
 
     @pytest.mark.parametrize("h, channels, t_max, dt, message", [
-        (QubitHamiltonian(epsilon=1.0), [], -1.0, 0.01, "t_max must be positive, got -1.0"),
-        (QubitHamiltonian(epsilon=1.0), [], np.nan, 0.01, "t_max must be positive, got nan"),
-        (QubitHamiltonian(epsilon=1.0), [], 10.0, np.inf, "dt must be positive, got inf"),
+        (QubitHamiltonian(epsilon=1.0), [], -1.0, 0.01,
+         "t_max must be finite and positive, got -1.0"),
+        (QubitHamiltonian(epsilon=1.0), [], np.nan, 0.01,
+         "t_max must be finite and positive, got nan"),
+        (QubitHamiltonian(epsilon=1.0), [], 10.0, np.inf,
+         "dt must be finite and positive, got inf"),
         # The frequency scale is checked before any channel, and channels in order.
         (QubitHamiltonian(epsilon=1.0, omega_rabi=2.0, omega0=4.0,
                           drive_mode=DriveMode.FULL_COSINE),
@@ -923,6 +936,15 @@ class TestDephasingTime:
 
 
 class TestTimeSeries:
+    def test_evolution_columns_hold_no_larger_array(self):
+        series = evolve_lindblad(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0),
+                                 [LindbladChannel.pure_dephasing(0.1)], 1.0, 0.01)
+        for name in ("times", "p_g", "p_e", "rho01"):
+            column = root = getattr(series, name)
+            while root.base is not None:
+                root = root.base
+            assert column.flags.c_contiguous and root.nbytes == column.nbytes, name
+
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
             TimeSeries(

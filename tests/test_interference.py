@@ -33,10 +33,11 @@ class TestGeometryValidation:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(k=np.nan, slit_spacing=np.nan, screen_distance=np.nan),
-         "wavenumber must be positive, got nan"),
-        (dict(k=1.0, slit_spacing=0.0, screen_distance=-1.0), "slit spacing must be positive, got 0.0"),
+         "wavenumber must be finite and positive, got nan"),
+        (dict(k=1.0, slit_spacing=0.0, screen_distance=-1.0),
+         "slit spacing must be finite and positive, got 0.0"),
         (dict(k=1.0, slit_spacing=0.01, screen_distance=np.inf),
-         "screen distance must be positive, got inf"),
+         "screen distance must be finite and positive, got inf"),
     ])
     def test_names_the_first_bad_length(self, kwargs, message):
         with pytest.raises(GeometryError) as excinfo:

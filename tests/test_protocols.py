@@ -1,5 +1,7 @@
 """Tests for the Ramsey, Rabi, and superdense coding experiments."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -302,7 +304,7 @@ class TestFigureOfMerit:
 def test_every_dephasing_rate_entry_gives_one_message(entry, delta):
     with pytest.raises(DomainError) as excinfo:
         entry(delta)
-    assert str(excinfo.value) == f"dephasing rate must be non-negative, got {delta}"
+    assert str(excinfo.value) == f"dephasing rate must be finite and non-negative, got {delta}"
 
 
 class TestSuperdenseEncoding:
@@ -454,20 +456,29 @@ class TestDecodeTable:
         assert run()
 
     def test_sweep_checks_the_rate_and_computes_the_decay_once(self, monkeypatch):
-        calls = dict.fromkeys(("_check_dephasing_rate", "_coherence_decay"), 0)
-        for name in calls:
-            def spy(*args, name=name, original=getattr(protocols, name)):
-                calls[name] += 1
-                return original(*args)
+        labels, decays = [], []
+        check, decay = protocols._check_domain, protocols._coherence_decay
 
-            monkeypatch.setattr(protocols, name, spy)
+        def check_spy(value, label, *args):
+            labels.append(label)
+            return check(value, label, *args)
+
+        def decay_spy(*args):
+            decays.append(args)
+            return decay(*args)
+
+        monkeypatch.setattr(protocols, "_check_domain", check_spy)
+        monkeypatch.setattr(protocols, "_coherence_decay", decay_spy)
         superdense_channel_sweep(0.25, 6.0, 61)
-        assert calls == {"_check_dephasing_rate": 1, "_coherence_decay": 1}
+        assert labels.count("dephasing rate") == 1
+        assert len(decays) == 1
 
     def test_checks_run_delta_then_durations_then_message(self):
-        with pytest.raises(DomainError, match="^dephasing rate must be non-negative"):
+        message = "dephasing rate must be finite and non-negative, got -1.0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             superdense_success_probability("2", -1.0, -1.0)
-        with pytest.raises(DomainError, match="^channel duration must be finite"):
+        message = "channel duration must be finite and non-negative, got -1.0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             superdense_success_probability("2", 0.1, -1.0)
 
     @pytest.mark.parametrize("message", ["2", ["00"], None, {"00": 1}])
@@ -517,6 +528,14 @@ class TestSuperdenseSweep:
     def test_rejects_point_counts_that_are_not_integers(self, n_points):
         with pytest.raises(DomainError, match="^n_points must be an integer, got "):
             superdense_channel_sweep(0.1, 1.0, n_points)
+
+    def test_columns_hold_no_larger_array(self):
+        sweep = superdense_channel_sweep(0.25, 6.0, 61)
+        for name, column in [("times", sweep.times), *sweep.success.items()]:
+            root = column
+            while root.base is not None:
+                root = root.base
+            assert column.flags.c_contiguous and root.nbytes == column.nbytes, name
 
     def test_accepts_numpy_integer_point_counts(self):
         sweep = superdense_channel_sweep(0.1, 1.0, np.int32(7))

@@ -1,5 +1,7 @@
 """Tests for the one- and two-qubit state algebra."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,12 @@ class TestReducedWithOverlap:
     @pytest.mark.parametrize("c_g0, c_e1", [(np.nan, INV_SQRT2), (INV_SQRT2, complex(0, np.nan))])
     def test_nan_amplitude_is_named(self, c_g0, c_e1):
         with pytest.raises(InvalidStateError, match="^branch amplitudes are not normalized"):
+            reduced_with_overlap(c_g0, c_e1, 0.5)
+
+    @pytest.mark.parametrize("c_g0, c_e1", [(1e200, 0.0), (0.0, 1e200)])
+    def test_overflowing_amplitude_is_named(self, c_g0, c_e1):
+        message = "branch amplitudes are not normalized: |c_g0|^2 + |c_e1|^2 = inf"
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
             reduced_with_overlap(c_g0, c_e1, 0.5)
 
     @pytest.mark.parametrize("overlap", [np.nan, complex(0.5, np.nan)])
