@@ -13,7 +13,8 @@ decode adds transmission_time.
 Output is written in blocks of BLOCK_ROWS rows: CSV a block of rows at a
 time, JSON each column's floats a block at a time. Nothing is written until
 every check of the run has passed, and --output is replaced atomically after
-the last block, so a failed run leaves the target untouched.
+the last block, so a failed run leaves the target untouched. A target that
+exists and is not a regular file, such as a FIFO, is written in place.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -135,15 +137,31 @@ def _render_json(document, pieces=None) -> str:
     return "".join(_document_pieces(document)) if pieces is None else next(pieces, "")
 
 
+def _replaceable(path) -> bool:
+    """Whether path is missing or a regular file, which a finished temp file may replace."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 @contextlib.contextmanager
 def _opened(path):
-    """Yield the stream a run writes to: stdout, or a temp file that replaces path at the end."""
+    """Yield the stream a run writes to: stdout, or a temp file that replaces path at the end.
+
+    A path that exists and is not a regular file, such as a FIFO or
+    /dev/null, is written in place: replacing it would swap it for a file.
+    """
     if path is None or path == "-":
         yield sys.stdout
         return
-    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                            f".qubitsim-{os.urandom(8).hex()}.tmp")
     try:
+        if not _replaceable(path):
+            with open(path, "w", newline="") as handle:
+                yield handle
+            return
+        tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                f".qubitsim-{os.urandom(8).hex()}.tmp")
         # Mode 0o666 gets the umask applied, as open() gives a new file.
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

@@ -12,19 +12,22 @@ populations stay fixed.
 
 Trajectories are integrated with the classical fixed-step 4th-order scheme
 on vec(rho), where the generator is a 4x4 matrix L(t). Every drive mode has
-H(t) = H0 + cos(omega0 t) H1, so L(t) = L0 + cos(omega0 t) L1. Because the
-equation is linear, each step is a 4x4 map M[k] built from the generators at
-the start, middle and end of the step. The integrator advances a block of
-steps at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of
-the block's maps and writes all the block's samples with one batched product
-of Q with the sample before the block. Whenever the drive generator L1
-vanishes, one map P serves every step, so one block of powers P^1 .. P^B
-serves every block. Otherwise the maps are built a batch of steps at a
-time, and the running products of a batch's blocks are formed in lockstep.
+H(t) = H0 + cos(omega0 t) H1, so L(t) = L0 + c(t) L1. Because the equation
+is linear, each step is a 4x4 map M[k]: a polynomial in c at the start,
+middle and end of the step, whose twelve 4x4 coefficients are found once per
+run. The integrator advances a block of steps at a time: it forms the
+running products Q[j] = M[j] @ ... @ M[0] of the block's maps and writes all
+the block's samples with one batched product of Q with the sample before the
+block. Whenever L1 vanishes, only the constant coefficient is left, so one
+map P serves every step and one block of powers P^1 .. P^B every block.
+Otherwise a batch of steps gets its maps from one product of its cosine
+monomials with the coefficients, and the running products of the batch's
+blocks are formed in lockstep.
 """
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,9 @@ _MAX_STEPS = 10**9
 # Driven step maps are built this many at a time, so memory stays bounded
 # for long runs.
 _DRIVEN_BATCH = 4096
+
+# Trajectory samples are checked this many at a time.
+_CHECK_ROWS = 4096
 
 
 def _coherence_decay(delta, t):
@@ -207,14 +213,19 @@ def _check_step(h: QubitHamiltonian, channels, t_max: float, dt: float) -> int:
     return int(round(ratio))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two 2x2 matrices: the same single products, without its set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def _superoperator(h_matrix: np.ndarray, channels) -> np.ndarray:
     """Generator acting on row-major vec(rho): vec(A rho B) = (A kron B^T) vec(rho)."""
     eye = np.eye(2, dtype=complex)
-    gen = -1j * (np.kron(h_matrix, eye) - np.kron(eye, h_matrix.T))
+    gen = -1j * (_kron(h_matrix, eye) - _kron(eye, h_matrix.T))
     for ch in channels:
         op = ch.operator
         op_sq = op.conj().T @ op
-        gen += np.kron(op, op.conj()) - 0.5 * (np.kron(op_sq, eye) + np.kron(eye, op_sq.T))
+        gen += _kron(op, op.conj()) - 0.5 * (_kron(op_sq, eye) + _kron(eye, op_sq.T))
     return gen
 
 
@@ -222,7 +233,8 @@ def _rk4_step_map(l_start, l_mid, l_end, dt: float) -> np.ndarray:
     """One classical RK4 step of d vec(rho)/dt = L(t) vec(rho) as a 4x4 map.
 
     l_start, l_mid and l_end are the generators at t, t + dt/2 and t + dt;
-    leading axes broadcast, giving one map per step.
+    leading axes broadcast, giving one map per step. Given _Polynomial
+    generators, it returns the map as a _Polynomial.
     """
     eye = np.eye(4, dtype=complex)
     k1 = l_start
@@ -230,6 +242,49 @@ def _rk4_step_map(l_start, l_mid, l_end, dt: float) -> np.ndarray:
     k3 = l_mid @ (eye + 0.5 * dt * k2)
     k4 = l_end @ (eye + dt * k3)
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_CONSTANT = (0, 0, 0)
+
+
+class _Polynomial(dict):
+    """Matrix polynomial {(i, j, k): coefficient of c_s^i c_m^j c_e^k}, for _rk4_step_map.
+
+    A matrix added to it is its constant term. Each coefficient comes from
+    the array operations, in the order, of an evaluation at fixed cosines.
+    """
+
+    __array_ufunc__ = None  # ndarray + polynomial defers to __radd__
+
+    def __add__(self, other):
+        out = _Polynomial(self)
+        for key, coef in other.items():
+            out[key] = out[key] + coef if key in out else coef
+        return out
+
+    def __radd__(self, matrix):
+        return _Polynomial({_CONSTANT: matrix}) + self
+
+    def __rmul__(self, scalar):
+        return _Polynomial({key: scalar * coef for key, coef in self.items()})
+
+    def __matmul__(self, other):
+        return sum((_Polynomial({tuple(map(operator.add, key_a, key_b)): a @ b})
+                    for key_a, a in self.items() for key_b, b in other.items()), _Polynomial())
+
+
+def _step_map_coefficients(static: np.ndarray, drive: np.ndarray, dt: float) -> _Polynomial:
+    """RK4 step map for L(t) = static + c(t) drive, as a polynomial in the step's cosines.
+
+    c_s, c_m and c_e are c(t) at the start, middle and end of a step. A zero
+    drive leaves only the constant coefficient; that one is always bitwise
+    _rk4_step_map(static, static, static, dt).
+    """
+    gens = [_Polynomial({_CONSTANT: static}) for _ in range(3)]
+    if drive.any():
+        for gen, power in zip(gens, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            gen[power] = drive
+    return _rk4_step_map(*gens, dt)
 
 
 def _block_length(n_steps: int) -> int:
@@ -274,53 +329,69 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
                   out=out[first + 1 : last + 1].reshape(-1))
 
     h_static, h_drive = _hamiltonian_parts(h)
-    static = _superoperator(h_static, channels)
-    drive = _superoperator(h_drive, ())
-    if not drive.any():
-        step = _rk4_step_map(static, static, static, dt)
+    coefs = _step_map_coefficients(_superoperator(h_static, channels),
+                                   _superoperator(h_drive, ()), dt)
+    if len(coefs) == 1:
+        step = coefs[_CONSTANT]
         powers = _running_products(np.broadcast_to(step, (_block_length(n_steps), 4, 4)))
         for first in range(0, n_steps, powers.shape[0]):
             advance(first, powers)
         return out
+    # Real and imaginary parts side by side, so real products form the maps.
+    exponents = list(coefs)
+    coef_rows = np.array([coefs[e] for e in exponents]).reshape(len(exponents), 16).view(float)
     for start in range(0, n_steps, _DRIVEN_BATCH):
         n = min(_DRIVEN_BATCH, n_steps - start)
         block = _block_length(n)
         n_blocks = -(-n // block)
         # Step start + b * block + j sits at [j, b]: the lockstep products
         # of all blocks of the batch read one contiguous slice per j.
-        t = dt * (start + block * np.arange(n_blocks) + np.arange(block)[:, None])
-        gens = [static + np.cos(h.omega0 * at)[..., None, None] * drive
-                for at in (t, t + 0.5 * dt, t + dt)]
-        prods = _running_products(_rk4_step_map(*gens, dt))
+        t = dt * (start + block * np.arange(n_blocks) + np.arange(block)[:, None]).reshape(-1)
+        c_s, c_m, c_e = ([np.cos(h.omega0 * at) ** i for i in range(3)]
+                         for at in (t, t + 0.5 * dt, t + dt))
+        monomials = np.stack([c_s[i] * c_m[j] * c_e[k] for i, j, k in exponents])
+        # One product per j, of n_blocks rows: small enough that BLAS starts
+        # no threads, which would spin on after the run.
+        rows = monomials.T.reshape(block, n_blocks, len(exponents))
+        maps = (rows @ coef_rows).view(complex).reshape(block, n_blocks, 4, 4)
+        prods = _running_products(maps)
         for b in range(n_blocks):
             advance(start + b * block, prods[:, b])
     return out
 
 
-def _raise_at_first_breach(ok: np.ndarray, measure: np.ndarray, message: str):
-    """Raise at the first step where ok is False, formatting message with its measure.
+def _checks(rows: np.ndarray):
+    """(ok, measure, message) of the trace, hermiticity and positivity checks, in that order.
 
-    ok asks whether a sample is within tolerance, so that a NaN sample, which
-    compares False with everything, fails at its step.
+    Each measure is computed only when its check is reached. ok asks whether
+    a sample is within tolerance, so that a NaN sample, which compares False
+    with everything, fails.
     """
-    if not ok.all():
-        idx = int(np.argmin(ok))
-        raise NumericalInstabilityError(f"{message.format(measure[idx])} at step {idx}")
+    trace_err = np.abs(rows[:, 0] + rows[:, 3] - 1.0)
+    yield trace_err <= TRACE_TOL, trace_err, "trace deviated by {:.3e}"
+    herm_err = np.maximum(
+        np.abs(rows[:, 1] - np.conj(rows[:, 2])),
+        2.0 * np.maximum(np.abs(rows[:, 0].imag), np.abs(rows[:, 3].imag)),
+    )
+    yield herm_err <= HERMITICITY_TOL, herm_err, "hermiticity deviated by {:.3e}"
+    lam_min = _min_eigenvalue_2x2(rows.reshape(-1, 2, 2))
+    yield lam_min >= POSITIVITY_FLOOR, lam_min, "positivity breached (min eigenvalue {:.3e})"
 
 
 def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
-    """Validate every sample against the trajectory tolerances, then record it."""
-    trace_err = np.abs(traj[:, 0] + traj[:, 3] - 1.0)
-    _raise_at_first_breach(trace_err <= TRACE_TOL, trace_err, "trace deviated by {:.3e}")
-    herm_err = np.maximum(
-        np.abs(traj[:, 1] - np.conj(traj[:, 2])),
-        2.0 * np.maximum(np.abs(traj[:, 0].imag), np.abs(traj[:, 3].imag)),
-    )
-    _raise_at_first_breach(herm_err <= HERMITICITY_TOL, herm_err, "hermiticity deviated by {:.3e}")
-    lam_min = _min_eigenvalue_2x2(traj.reshape(-1, 2, 2))
-    _raise_at_first_breach(lam_min >= POSITIVITY_FLOOR, lam_min,
-                           "positivity breached (min eigenvalue {:.3e})")
-    del trace_err, herm_err, lam_min  # freed first, so the copies below add nothing to the peak
+    """Validate every sample against the trajectory tolerances, then record it.
+
+    The checks run a block of _CHECK_ROWS rows at a time. A block with a
+    breach sends the search to the whole trajectory, so the first check to
+    fail is reported at its first failing step.
+    """
+    for first in range(0, traj.shape[0], _CHECK_ROWS):
+        if all(ok.all() for ok, _, _ in _checks(traj[first : first + _CHECK_ROWS])):
+            continue
+        for ok, measure, message in _checks(traj):
+            if not ok.all():
+                idx = int(np.argmin(ok))
+                raise NumericalInstabilityError(f"{message.format(measure[idx])} at step {idx}")
     times = dt * np.arange(traj.shape[0])
     # Copies, so the record does not keep the whole trajectory array alive.
     return TimeSeries(times=times, p_g=traj[:, 0].real.copy(), p_e=traj[:, 3].real.copy(),

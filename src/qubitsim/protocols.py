@@ -238,7 +238,9 @@ def _channel_factors(delta: float, times) -> np.ndarray:
     """Factor f = e^{-2 delta t} that the channel puts on the sender-side coherences, per t."""
     _check_domain(delta, "dephasing rate", "finite and non-negative")
     times = np.asarray(times)
-    if not np.iscomplexobj(times):  # a complex time stays complex, for the check to name it
+    # Only real numbers become floats: a complex time stays complex, for the
+    # check to name it, and a string one is refused, not parsed.
+    if times.dtype.kind in "biuf":
         times = times.astype(float, copy=False)
     _check_domain(times, "channel duration", "finite and non-negative")
     return _coherence_decay(delta, times)

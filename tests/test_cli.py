@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -514,6 +515,25 @@ class TestDeterminismAndOutput:
         assert "chmod refused" in err
         assert sorted(tmp_path.iterdir()) == [other, target]
         assert other.read_text() == "old\n"
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_onto_a_fifo_writes_through_it(self, capsys, tmp_path):
+        # Replacing the FIFO with a file would leave its reader waiting for ever.
+        fifo = tmp_path / "run.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        result = run_cli(capsys, self.ARGS + ["--output", str(fifo)])
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert result == (0, "", "")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        _, stdout_text, _ = run_cli(capsys, self.ARGS)
+        assert received == [stdout_text.encode()]
+        assert list(tmp_path.iterdir()) == [fifo]  # no leftover temp file
 
 
 class TestArgumentParsing:

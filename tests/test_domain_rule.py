@@ -32,6 +32,7 @@ from qubitsim import (
     superdense_success_probability,
 )
 from qubitsim.errors import _check_domain
+from qubitsim.protocols import _superdense_probabilities
 
 FINITE, POSITIVE, NON_NEGATIVE = "finite", "finite and positive", "finite and non-negative"
 
@@ -124,6 +125,18 @@ def test_value_outside_the_domain_gets_the_one_message(call, label, domain, erro
         call(value)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == f"{label} must be {domain}, got {value}"
+
+
+STRING_CALLS = [pytest.param(call, id=name) for name, call, _, _, _ in ENTRIES] + [
+    pytest.param(lambda v: _superdense_probabilities(0.1, [v]), id="_superdense_probabilities.times"),
+]
+
+
+@pytest.mark.parametrize("call", STRING_CALLS)
+def test_a_number_written_as_a_string_is_refused(call):
+    # numpy would parse "1" if it were cast to float; the check refuses it instead.
+    with pytest.raises(TypeError):
+        call("1")
 
 
 def test_an_array_names_its_first_value_outside():

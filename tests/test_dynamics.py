@@ -640,6 +640,74 @@ class TestBlockedIntegrator:
         assert np.max(np.abs(got - reference_step_map_loop(rho0, h, channels, 0.01, 250))) <= 1e-12
         assert np.max(np.abs(got - reference_stepwise(rho0, h, channels, 0.01, 250))) <= 1e-12
 
+    def test_long_cosine_drive_crosses_two_batch_edges(self):
+        assert 2 * dynamics._DRIVEN_BATCH < 10000 < 3 * dynamics._DRIVEN_BATCH
+        rng = np.random.default_rng(16)
+        h = QubitHamiltonian(
+            epsilon=1.5, omega_rabi=0.8, omega0=1.9, drive_mode=DriveMode.FULL_COSINE
+        )
+        channels = random_channels(rng)
+        rho0 = random_density(rng).matrix
+        got = _integrate_static(rho0, h, channels, 0.01, 10000)
+        want = reference_step_map_loop(rho0, h, channels, 0.01, 10000)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def frozen_kron_superoperator(h_matrix, channels):
+    """Frozen copy of the earlier _superoperator, built from np.kron."""
+    eye = np.eye(2, dtype=complex)
+    gen = -1j * (np.kron(h_matrix, eye) - np.kron(eye, h_matrix.T))
+    for ch in channels:
+        op = ch.operator
+        op_sq = op.conj().T @ op
+        gen += np.kron(op, op.conj()) - 0.5 * (np.kron(op_sq, eye) + np.kron(eye, op_sq.T))
+    return gen
+
+
+MATRICES_2X2 = st.lists(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4,
+).map(lambda entries: np.array(entries, dtype=complex).reshape(2, 2))
+
+
+@given(h_matrix=MATRICES_2X2, operators=st.lists(MATRICES_2X2, max_size=3))
+def test_superoperator_is_bitwise_the_kron_form(h_matrix, operators):
+    channels = [LindbladChannel(op) for op in operators]
+    got = dynamics._superoperator(h_matrix, channels)
+    assert got.tobytes() == frozen_kron_superoperator(h_matrix, channels).tobytes()
+
+
+class TestStepMapCoefficients:
+    """The RK4 step map of L0 + c L1 as twelve constant coefficients of cosine monomials."""
+
+    @staticmethod
+    def generators(rng):
+        l0, l1 = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        return l0, l1, rng.uniform(1e-3, 0.1)
+
+    def test_coefficients_sum_to_the_step_map(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            l0, l1, dt = self.generators(rng)
+            coefs = dynamics._step_map_coefficients(l0, l1, dt)
+            assert sorted(coefs) == sorted(itertools.product(range(2), range(3), range(2)))
+            cosines = rng.uniform(-1.0, 1.0, size=3)
+            got = sum(coef * np.prod(cosines ** np.array(powers))
+                      for powers, coef in coefs.items())
+            want = dynamics._rk4_step_map(*(l0 + c * l1 for c in cosines), dt)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_constant_coefficient_is_bitwise_the_static_map(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            l0, l1, dt = self.generators(rng)
+            static = dynamics._rk4_step_map(l0, l0, l0, dt).tobytes()
+            assert dynamics._step_map_coefficients(l0, l1, dt)[(0, 0, 0)].tobytes() == static
+            # A static run pays for the constant coefficient only.
+            alone = dynamics._step_map_coefficients(l0, np.zeros((4, 4), dtype=complex), dt)
+            assert list(alone) == [(0, 0, 0)]
+            assert alone[(0, 0, 0)].tobytes() == static
+
 
 @given(
     epsilon=st.floats(0.0, 5.0),
@@ -871,6 +939,87 @@ class TestTrajectoryMonitoring:
                                  drive_mode=DriveMode.FULL_COSINE),
                 (), 1.0, 0.01,
             )
+
+
+def reference_check(traj):
+    """Frozen copy of the earlier whole-array check: the message it raised, or None."""
+    trace_err = np.abs(traj[:, 0] + traj[:, 3] - 1.0)
+    herm_err = np.maximum(
+        np.abs(traj[:, 1] - np.conj(traj[:, 2])),
+        2.0 * np.maximum(np.abs(traj[:, 0].imag), np.abs(traj[:, 3].imag)),
+    )
+    a, b, offdiag = traj[:, 0].real, traj[:, 3].real, 0.5 * (traj[:, 1] + np.conj(traj[:, 2]))
+    lam_min = 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + np.abs(offdiag) ** 2)
+    for ok, measure, message in (
+        (trace_err <= 1e-9, trace_err, "trace deviated by {:.3e}"),
+        (herm_err <= 1e-9, herm_err, "hermiticity deviated by {:.3e}"),
+        (lam_min >= -1e-8, lam_min, "positivity breached (min eigenvalue {:.3e})"),
+    ):
+        if not ok.all():
+            idx = int(np.argmin(ok))
+            return f"{message.format(measure[idx])} at step {idx}"
+    return None
+
+
+BREACHES = {
+    "trace": [0.6, 0.0, 0.0, 0.6],
+    "hermiticity": [0.5, 0.3, 0.1, 0.5],
+    "positivity": [0.5, 0.6, 0.6, 0.5],
+    "nan": [np.nan, 0.0, 0.0, 0.5],
+}
+
+
+class TestBlockedCheck:
+    """The check runs over blocks of _CHECK_ROWS rows and reports what the whole-array one did."""
+
+    ROWS = dynamics._CHECK_ROWS
+    N = 2 * ROWS + 5  # two full blocks and a short last one
+
+    @staticmethod
+    def healthy(n):
+        return np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (n, 1))
+
+    def message(self, traj):
+        with pytest.raises(NumericalInstabilityError) as excinfo:
+            _series_from_trajectory(traj, 0.1)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", list(BREACHES))
+    @pytest.mark.parametrize("step", [0, ROWS - 1, ROWS, 2 * ROWS - 1, 2 * ROWS, N - 1])
+    def test_breach_next_to_block_edges(self, kind, step):
+        traj = self.healthy(self.N)
+        traj[step] = BREACHES[kind]
+        want = reference_check(traj)
+        assert want.endswith(f" at step {step}")
+        assert self.message(traj) == want
+
+    def test_trace_breach_in_a_later_block_is_reported_first(self):
+        traj = self.healthy(self.N)
+        traj[3] = BREACHES["hermiticity"]
+        traj[self.ROWS + 7] = BREACHES["positivity"]
+        traj[2 * self.ROWS + 2] = BREACHES["trace"]
+        assert self.message(traj) == reference_check(traj)
+        assert self.message(traj).startswith("trace deviated by 2.000e-01 at step")
+
+    def test_nan_in_the_short_last_block_fails_at_its_step(self):
+        traj = self.healthy(self.N)
+        traj[self.N - 3, 1] = complex(0.25, np.nan)
+        traj[self.N - 3, 2] = complex(0.25, np.nan)
+        assert self.message(traj) == f"hermiticity deviated by nan at step {self.N - 3}"
+
+    def test_healthy_trajectory_is_checked_once_a_block_at_a_time(self, monkeypatch):
+        blocks = []
+        eigenvalues = dynamics._min_eigenvalue_2x2
+
+        def spy(mats):
+            blocks.append(mats.shape[0])
+            return eigenvalues(mats)
+
+        monkeypatch.setattr(dynamics, "_min_eigenvalue_2x2", spy)
+        traj = self.healthy(self.N)
+        assert len(_series_from_trajectory(traj, 0.1)) == self.N
+        assert blocks == [self.ROWS, self.ROWS, 5]
+        assert reference_check(traj) is None
 
 
 class TestAnalyticDephasing:
