@@ -13,7 +13,8 @@ decode adds transmission_time.
 Output is written in blocks of BLOCK_ROWS rows: CSV a block of rows at a
 time, JSON each column's floats a block at a time. Nothing is written until
 every check of the run has passed, and --output is replaced atomically after
-the last block, so a failed run leaves the target untouched. A target that
+the last block, so a failed run leaves the target untouched. A symlinked
+target stays a link, and the file it names is replaced. A target that
 exists and is not a regular file, such as a FIFO, is written in place.
 """
 
@@ -137,39 +138,36 @@ def _render_json(document, pieces=None) -> str:
     return "".join(_document_pieces(document)) if pieces is None else next(pieces, "")
 
 
-def _replaceable(path) -> bool:
-    """Whether path is missing or a regular file, which a finished temp file may replace."""
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        return True
-
-
 @contextlib.contextmanager
 def _opened(path):
     """Yield the stream a run writes to: stdout, or a temp file that replaces path at the end.
 
-    A path that exists and is not a regular file, such as a FIFO or
-    /dev/null, is written in place: replacing it would swap it for a file.
+    One stat of the file path names decides. A symlink stays a link and the
+    file it names is replaced, keeping its mode (only a link is resolved:
+    realpath drops the "/" of "name/"). A file that is not regular, such as
+    a FIFO or /dev/null, is written in place: replacing it would swap it.
     """
     if path is None or path == "-":
         yield sys.stdout
         return
+    target = os.path.realpath(path) if os.path.islink(path) else path
     try:
-        if not _replaceable(path):
-            with open(path, "w", newline="") as handle:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w", newline="") as handle:
                 yield handle
             return
-        tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+        tmp_path = os.path.join(os.path.dirname(os.path.abspath(target)),
                                 f".qubitsim-{os.urandom(8).hex()}.tmp")
-        # Mode 0o666 gets the umask applied, as open() gives a new file.
-        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", newline="") as handle:
+            with open(tmp_path, "x", newline="") as handle:
                 yield handle
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp_path, os.stat(path).st_mode & 0o777)  # a replaced file keeps its mode
-            os.replace(tmp_path, path)
+            if mode is not None:
+                os.chmod(tmp_path, mode & 0o777)
+            os.replace(tmp_path, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_path)

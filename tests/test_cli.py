@@ -535,6 +535,45 @@ class TestDeterminismAndOutput:
         assert received == [stdout_text.encode()]
         assert list(tmp_path.iterdir()) == [fifo]  # no leftover temp file
 
+    def test_output_through_a_symlink_keeps_the_link(self, capsys, tmp_path, monkeypatch):
+        # Replacing the link with a file would leave the file it names stale.
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        real = tmp_path / "data" / "real.csv"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        os.symlink(os.path.join("data", "real.csv"), "link.csv")
+        assert run_cli(capsys, self.ARGS + ["--output", "link.csv"]) == (0, "", "")
+        assert os.readlink("link.csv") == os.path.join("data", "real.csv")
+        _, stdout_text, _ = run_cli(capsys, self.ARGS)
+        assert real.read_text() == stdout_text
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(os.listdir()) == ["data", "link.csv"]  # no leftover temp file
+        assert os.listdir("data") == ["real.csv"]
+
+    def test_chained_and_dangling_symlinks_stay_links(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        os.symlink(os.path.join("data", "real.csv"), "dangling.csv")
+        os.symlink("dangling.csv", "chain.csv")
+        for fmt, typed in (("csv", "dangling.csv"), ("json", "chain.csv")):
+            argv = self.ARGS + ["--format", fmt]
+            assert run_cli(capsys, argv + ["--output", typed]) == (0, "", "")
+            _, stdout_text, _ = run_cli(capsys, argv)
+            assert (tmp_path / "data" / "real.csv").read_text() == stdout_text
+            assert os.readlink("dangling.csv") == os.path.join("data", "real.csv")
+            assert os.readlink("chain.csv") == "dangling.csv"
+            assert sorted(os.listdir()) == ["chain.csv", "dangling.csv", "data"]
+            assert os.listdir("data") == ["real.csv"]
+
+    def test_output_with_a_trailing_separator_is_not_a_directory(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # Resolving this path would drop the separator and write a file named newname.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, self.ARGS + ["--output", "newname/"]) == (
+            4, "", "error: cannot write --output newname/: Not a directory\n")
+        assert os.listdir() == []
+
 
 class TestArgumentParsing:
     def test_unknown_flag_exits_2(self):

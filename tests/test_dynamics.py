@@ -913,10 +913,11 @@ class TestTrajectoryMonitoring:
         with pytest.raises(NumericalInstabilityError, match="^positivity .* at step 2$"):
             _series_from_trajectory(traj, 0.1)
 
-    # A miss of a third of a tolerance passes and one of three times it fails.
-    # The tolerances are written out, not imported, so that a changed value in
+    # A miss of a third of a tolerance passes and one of 1.5 or three times it
+    # fails; 1.5 tells the weight 2 of a diagonal's imaginary part from 1. The
+    # tolerances are written out, not imported, so that a changed value in
     # the qstate table fails here.
-    @pytest.mark.parametrize("scale, within", [(1 / 3, True), (3.0, False)])
+    @pytest.mark.parametrize("scale, within", [(1 / 3, True), (1.5, False), (3.0, False)])
     @pytest.mark.parametrize("tolerance, sample, check", [
         (1e-9, lambda m: [0.5 + m, 0.0, 0.0, 0.5], "trace"),
         (1e-9, lambda m: [0.5, m, 0.0, 0.5], "hermiticity"),

@@ -110,6 +110,23 @@ class TestRamseyPopulation:
             assert ramsey_population(cfg, tau) == pytest.approx(rho[1, 1].real, abs=1e-12)
 
 
+def reference_fringe_frequency(series):
+    """The documented estimator, from a direct DFT: 8n-point zero padding, the DC
+    bin excluded, and the vertex (l - r) / 2(l - 2m + r) of the parabola through
+    the peak bin and its neighbours."""
+    n = len(series)
+    n_fft = 8 * n
+    bins = np.arange(n_fft // 2 + 1)
+    # The exact integer j t mod 8n keeps every phase accurate to rounding.
+    turns = np.outer(bins, np.arange(n)) % n_fft
+    values = series.p_e - np.mean(series.p_e)
+    spectrum = np.abs(np.exp(-2j * np.pi * turns / n_fft) @ values)
+    peak = 1 + int(np.argmax(spectrum[1:]))
+    left, mid, right = spectrum[peak - 1:peak + 2]
+    vertex = peak + 0.5 * (left - right) / (left - 2.0 * mid + right)
+    return 2.0 * np.pi * vertex / (n_fft * series.dt)
+
+
 class TestRamseyScan:
     def test_first_sample_is_excited(self):
         cfg = RamseyConfig(delta_split=1.0, tau_max=50.265, n_points=512)
@@ -141,6 +158,20 @@ class TestRamseyScan:
         cfg = RamseyConfig(delta_split=2.0, tau_max=16.0 * np.pi, n_points=512)
         freq = fringe_frequency(ramsey_scan(cfg))
         assert freq == pytest.approx(2.0, rel=0.01)
+
+    @pytest.mark.parametrize("delta_split, tau_max, n_points, dephasing_rate", [
+        (1.0, 40.0, 400, 0.0),
+        (2.0, 50.0, 512, 0.0),
+        (0.37, 60.0, 300, 0.02),
+        (5.0, 10.0, 101, 0.1),
+    ])
+    def test_estimate_follows_the_documented_method(self, delta_split, tau_max, n_points,
+                                                    dephasing_rate):
+        cfg = RamseyConfig(delta_split=delta_split, tau_max=tau_max, n_points=n_points,
+                           dephasing_rate=dephasing_rate)
+        series = ramsey_scan(cfg)
+        assert fringe_frequency(series) == pytest.approx(reference_fringe_frequency(series),
+                                                         abs=1e-12)
 
     def test_zero_splitting_is_flat(self):
         cfg = RamseyConfig(delta_split=0.0, tau_max=10.0, n_points=64)

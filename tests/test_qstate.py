@@ -470,3 +470,17 @@ def test_bloch_pole_tolerance_edge(scale, within):
     b = scale * 1e-12
     phi = bloch_from_ket(Ket([np.sqrt(1.0 - b * b), 1j * b])).phi
     assert phi == (0.0 if within else pytest.approx(np.pi / 2))
+
+
+def test_hermiticity_deviation_at_the_tolerance_is_accepted():
+    # The deviation |1e-12 - 0| is exactly the tolerance, which the bound includes.
+    rho = DensityMatrix([[0.5, 1e-12], [0.0, 0.5]])
+    assert rho.matrix[0, 1] == 1e-12
+
+
+def test_phase_difference_of_a_full_turn_is_reported_as_zero():
+    # (angle b - angle a) mod 2 pi rounds to exactly 2 pi here, outside [0, 2 pi).
+    psi = Ket([INV_SQRT2, INV_SQRT2 * np.exp(-1e-17j)])
+    a, b = psi.amplitudes
+    assert (np.angle(b) - np.angle(a)) % (2.0 * np.pi) == 2.0 * np.pi
+    assert bloch_from_ket(psi).phi == 0.0
