@@ -5,10 +5,11 @@ drive amplitudes are angular frequencies, rates are inverse time, in one
 common reciprocal time unit chosen by the user. Output is deterministic:
 identical flags produce byte-identical artifacts.
 
-CSV writes floats with 9 significant digits and JSON in full; both write
--0.0 as 0.0. JSON meta.parameters echoes every subcommand flag as parsed:
-defaults included, unset optional flags left out, and a single superdense
-decode adds transmission_time.
+Each CSV cell is exactly '%#.9g' % value, with -0.0 written as 0.00000000;
+numpy formats long tables of numbers, and % any row it cannot round exactly.
+JSON writes floats in full, -0.0 as 0.0. JSON meta.parameters echoes every
+subcommand flag as parsed: defaults included, unset optional flags left out,
+and a single superdense decode adds transmission_time.
 
 Output is written in blocks of BLOCK_ROWS rows: CSV a block of rows at a
 time, JSON each column's floats a block at a time. Nothing is written until
@@ -63,8 +64,22 @@ def _plus_zero(values) -> np.ndarray:
     return np.asarray(values, dtype=float) + 0.0
 
 
+# Rows that the numpy cell writer takes at a time; a larger piece raises a
+# block's peak memory and runs no faster.
+_PIECE_ROWS = 512
+
+# A table with fewer cells (rows times columns) goes through the % row loop,
+# which is faster there.
+_NUMPY_MIN_CELLS = 256
+
+
 def _render_csv(columns, header=True) -> str:
-    """Header (if asked for), then one line per row from a single %-format string for the table."""
+    """Header (if asked for), then one line per row: '%#.9g' % (value + 0.0) per number, text as is.
+
+    A table of at least _NUMPY_MIN_CELLS numbers is formatted by numpy
+    (_csvcells), _PIECE_ROWS rows at a time; any other table by one %-format
+    string per row. Both give the same text.
+    """
     cells, formats = [], []
     for _, values in columns:
         text = np.asarray(values).dtype.kind == "U"
@@ -72,6 +87,14 @@ def _render_csv(columns, header=True) -> str:
         formats.append("%s" if text else "%#.9g")  # 9 significant digits, zeros kept
     row = ",".join(formats)
     lines = [",".join(name for name, _ in columns)] if header else []
+    n_rows = len(cells[0])
+    if n_rows * len(cells) >= _NUMPY_MIN_CELLS and "%s" not in formats:
+        from . import _csvcells  # on first use: see its docstring
+
+        pieces = (np.column_stack([values[start:start + _PIECE_ROWS] for values in cells])
+                  for start in range(0, n_rows, _PIECE_ROWS))
+        body = "".join(_csvcells.format_rows(piece, row) for piece in pieces)
+        return lines[0] + "\n" + body if header else body
     lines.extend(row % cell for cell in zip(*cells))
     return "\n".join(lines) + "\n"
 

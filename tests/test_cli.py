@@ -10,6 +10,7 @@ import shlex
 import stat
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from readme_commands import readme_commands
 
 import qubitsim
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
-from qubitsim import cli, dynamics
+from qubitsim import _csvcells, cli, dynamics
 from qubitsim.cli import main
 
 
@@ -69,6 +70,67 @@ class TestEmitCsv:
         row = render_series_csv(series).split("\n")[1].split(",")
         assert row[0] == "2.00000000"
         assert row[5] == "0.183939721"
+
+    @staticmethod
+    def assert_cells_are_percent_text(values):
+        # One value per row among cells of 0.25, so that no other cell sends its row
+        # to %, in four columns, so that both separators occur, and enough rows that
+        # _render_csv formats the table in numpy.
+        table = np.full((max(len(values), cli._NUMPY_MIN_CELLS // 4), 4), 0.25)
+        table[np.arange(len(values)), np.arange(len(values)) % 4] = values
+        expected = "".join(",".join("%#.9g" % (v + 0.0) for v in row) + "\n"
+                           for row in table.tolist())
+        assert cli._render_csv([(f"c{k}", table[:, k]) for k in range(4)], header=False) == expected
+
+    # Ties of the ninth digit, carries into the next power of ten, the ends of
+    # fixed notation, zeros, subnormals, and exponents past the tables' range.
+    EDGE_VALUES = [
+        123456789.5, 9.9999999995, 9.999999995, 0.9999999995, 0.99999999949, 1.0000000005,
+        9.9999999995e-5, *(np.nextafter(v, to) for v in (1e-4, 1e9, 1e100) for to in (0.0, np.inf)),
+        1e-4, 1e9, 1e100, 0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+        1e300, -1e300, 1e-300, math.inf, -math.inf, math.nan,
+        3.981485115e-17, 9.537490395e119,  # a * 10**(8 - e) rounds across the tie
+    ]
+
+    def test_edge_values_are_percent_text(self):
+        self.assert_cells_are_percent_text(self.EDGE_VALUES)
+        self.assert_cells_are_percent_text([-v for v in self.EDGE_VALUES])
+        table = np.resize([123456789.5, 9.9999999995, 9.999999995, -0.0], (cli._NUMPY_MIN_CELLS, 1))
+        lines = cli._render_csv([("v", table[:, 0])], header=False).split("\n")
+        assert lines[:4] == ["123456790.", "10.0000000", "9.99999999", "0.00000000"]
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    def test_wide_floats_are_percent_text(self, values):
+        self.assert_cells_are_percent_text(values)
+
+    # Ten significant digits ending in 5 put the double within an ulp of a tie of the ninth.
+    @given(st.lists(st.floats(0.99999999, 1.00000001)
+                    | st.builds(lambda digits, exp: float(f"{digits}5e{exp}"),
+                                st.integers(10**8, 10**9 - 1), st.integers(-297, 280)),
+                    min_size=1, max_size=64))
+    def test_floats_near_one_and_near_ties_are_percent_text(self, values):
+        self.assert_cells_are_percent_text(values)
+
+    def test_only_near_ties_go_through_percent(self):
+        calls = []
+
+        class Row(str):
+            def __mod__(self, cells):
+                calls.append(cells)
+                return str.__mod__(self, cells)
+
+        table = np.full((300, 2), 0.25)
+        # Within 1e-5 of a tie of the ninth digit: scaled is 999999999.5 and 398148511.50000006.
+        table[7, 1], table[9, 0] = 9.999999995, 3.981485115e-17
+        lines = _csvcells.format_rows(table, Row("%#.9g,%#.9g")).split("\n")
+        assert calls == [(0.25, 9.999999995), (3.981485115e-17, 0.25)]
+        assert lines[7:10] == ["0.250000000,9.99999999", "0.250000000,0.250000000",
+                               "3.98148511e-17,0.250000000"]
+        calls.clear()
+        table[7, 1], table[8, 0], table[9, 0] = 9.9999999996, 999999999.7, 0.25  # carries, no tie
+        lines = _csvcells.format_rows(table, Row("%#.9g,%#.9g")).split("\n")
+        assert calls == []
+        assert lines[7:9] == ["0.250000000,10.0000000", "1.00000000e+09,0.250000000"]
 
 
 class TestDephasingCommand:
@@ -398,6 +460,12 @@ class TestInterferenceCommand:
         monkeypatch.setattr(cli, "PhotonState", recording_state)
         assert run_cli(capsys, self.amplitude_args("0.6", "0.8"))[0] == 0
         assert seen == [(0.6, 0.8)]
+
+    def test_snap_band_edge_is_no_multiple_of_two_to_the_minus_53(self):
+        # Within 1e-12 of 1, a**2 + b**2 - 1.0 is exact (Sterbenz) and a multiple
+        # of 2**-53. NORM_ATOL is not one, so `NORM_ATOL <` and `NORM_ATOL <=` at
+        # the band's lower edge accept the same amplitudes.
+        assert (Fraction(cli.NORM_ATOL) * 2**53).denominator != 1
 
 
 class TestRabiCommand:
