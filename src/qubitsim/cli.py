@@ -17,10 +17,16 @@ every check of the run has passed, and --output is replaced atomically after
 the last block, so a failed run leaves the target untouched. A symlinked
 target stays a link, and the file it names is replaced. A target that
 exists and is not a regular file, such as a FIFO, is written in place.
+
+The parser is built once per process and only read: parsing fills a fresh
+Namespace, and help text reads the terminal width when it is formatted.
+So main() carries no state from one call to the next.
 """
 
 import argparse
 import contextlib
+import copy
+import functools
 import json
 import math
 import os
@@ -169,9 +175,16 @@ def _opened(path):
     file it names is replaced, keeping its mode (only a link is resolved:
     realpath drops the "/" of "name/"). A file that is not regular, such as
     a FIFO or /dev/null, is written in place: replacing it would swap it.
+    stdout is flushed here, so a failed write to it fails the run, not exit.
     """
     if path is None or path == "-":
-        yield sys.stdout
+        stream = sys.stdout
+        try:
+            yield stream
+            stream.flush()
+        except OSError as exc:
+            _drop_unwritten(stream)
+            raise OSError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     target = os.path.realpath(path) if os.path.islink(path) else path
     try:
@@ -197,6 +210,19 @@ def _opened(path):
             raise
     except OSError as exc:  # its text would name the random temp file, not the flag
         raise OSError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
+
+
+def _drop_unwritten(stream):
+    """Point stream's descriptor at os.devnull, so its buffer cannot fail again at exit."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _deliver(text: str, stream):
@@ -308,7 +334,9 @@ def _handle_superdense(args):
     return columns, dict(columns)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Build the argparse tree; cached, so once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default: csv)")
@@ -381,6 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """A shallow copy of the one parser, so an attribute set on it (parse_args) stays on it."""
+    return copy.copy(_parser())
+
+
 def run(args) -> int:
     """Execute one parsed subcommand and write its artifact a block at a time."""
     # Handlers return the CSV columns and the JSON data, whose numpy arrays are columns too.
@@ -405,6 +438,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command in argv (default sys.argv[1:]) and return its exit code; safe to repeat."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -87,3 +87,22 @@ def test_tracer_finds_every_live_layer_and_counts_its_work(capsys):
     assert calls["cli.parse"] == 2 * len(commands)
     assert counts["cli.render_bytes"] == counts["cli.deliver_bytes"] > 0
     assert counts["dynamics.steps"] > 0
+
+
+def test_tracer_counts_two_parse_calls_per_command_on_every_pass(capsys):
+    # main() reuses one parser per process; the tracer's parse_args wrapper
+    # must land on each call's copy, never pile up on the shared parser.
+    tracing = load_tracing()
+    commands = [shlex.split(command)[1:] for command in readme_commands()]
+    tracer = tracing.Tracer(qubitsim_modules())
+    for passes in (1, 2):
+        tracer.install()
+        try:
+            codes = [tracer.op(lambda argv=argv: cli.main(argv)) for argv in commands]
+        finally:
+            tracer.uninstall()
+        assert codes == [0] * len(commands)
+        assert tracer.summary()["calls"]["cli.parse"] == passes * 2 * len(commands)
+    capsys.readouterr()
+    assert "parse_args" not in vars(cli._parser())
+    assert "parse_args" not in vars(cli.build_parser())

@@ -2,15 +2,19 @@
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1037,3 +1041,141 @@ class TestStreamedOutput:
             4, "", f"error: cannot write --output {target}: {os.strerror(errno.ENOSPC)}\n")
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == [target] and target.read_text() == "old\n"
+
+
+class TestOneProcess:
+    """main() builds its parser once per process and carries nothing from one call to the next."""
+
+    SHOT = ["superdense", "--message", "10", "--delta", "0.1", "--format", "json"]
+    SWEEP = ["superdense", "--message", "10", "--delta", "0.1", "--t-max", "1", "--points", "3",
+             "--format", "json"]
+    # (COLUMNS, argv); usage and help text depend on the width at the time of the call.
+    MIXED = [
+        ("80", SHOT),
+        ("80", SWEEP),
+        ("40", ["ramsey", "--delta-split", "1", "--tau-max", "5", "--points", "4", "--frobnicate"]),
+        ("40", ["ramsey", "--delta-split", "1", "--points", "4"]),
+        ("120", ["superdense", "--message", "22", "--delta", "0"]),
+        ("80", ["--version"]),
+        ("40", ["--help"]),
+        ("40", ["ramsey", "--help"]),
+        ("120", ["--help"]),
+        ("120", ["ramsey", "--help"]),
+        ("80", SHOT[:-2]),
+        ("80", ["ramsey", "--delta-split", "1", "--tau-max", "5", "--points", "4",
+                "--dephasing-rate", "0.1", "--format", "json"]),
+        ("80", SWEEP),
+    ]
+
+    @staticmethod
+    def outcomes(capsys, monkeypatch, steps):
+        results = []
+        for columns, argv in steps:
+            monkeypatch.setenv("COLUMNS", columns)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_mixed_calls_match_fresh_parsers(self, capsys, monkeypatch):
+        cached = [self.outcomes(capsys, monkeypatch, self.MIXED) for _ in range(2)]
+        monkeypatch.setattr(cli, "build_parser", lambda: cli._parser.__wrapped__())
+        fresh = self.outcomes(capsys, monkeypatch, self.MIXED)
+        assert cached[0] == fresh
+        assert cached[1] == fresh
+
+        shot, sweep = (json.loads(out) for _, out, _ in fresh[:2])
+        assert shot["meta"]["parameters"]["transmission_time"] == 1.0
+        assert "transmission_time" not in sweep["meta"]["parameters"]
+        assert fresh[-1] == fresh[1]
+        for code, out, err in fresh[2:5]:
+            assert (code, out) == ("SystemExit(2)", "")
+            assert err.startswith("usage: qubitsim ") and err.count("error:") == 1
+        assert fresh[5] == ("SystemExit(0)", f"qubitsim {qubitsim.__version__}\n", "")
+        narrow, narrow_sub, wide, wide_sub = (out for _, out, _ in fresh[6:10])
+        assert narrow != wide and narrow_sub != wide_sub
+        description = "Two-level and two-qubit coherence experiments in natural units (hbar = 1)."
+        assert description in wide and description not in narrow
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = shlex.split("superdense --message 00 --delta 0.25 --t-max 6 --points 61")
+        first = run_cli(capsys, argv)
+        assert first[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert [run_cli(capsys, argv) for _ in range(20)] == [first] * 20
+        assert built == []
+        cli._parser.__wrapped__()  # the spy sees a build: 7 parsers
+        assert len(built) == 7
+
+    def test_build_parser_hands_out_copies(self, capsys):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attribute of one copy reached another")
+
+        first.parse_args = refuse
+        assert "parse_args" not in vars(cli.build_parser())
+        assert "parse_args" not in vars(cli._parser())
+        assert run_cli(capsys, ["superdense", "--message", "01", "--delta", "0"])[0] == 0
+        assert second.parse_args(["ramsey", "--delta-split", "1", "--tau-max", "1",
+                                  "--points", "2"]).points == 2
+
+
+class ShortStdout(io.StringIO):
+    """A stdout whose second write fails as a full disk does."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+class TestStdoutWriteFailure:
+    """A failed write to stdout exits 4 with one line that names stdout."""
+
+    DEPHASING = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "10", "--dt", "0.001"]
+
+    def test_full_disk_names_stdout(self, capsys, monkeypatch):
+        # 10,001 rows make three CSV blocks; the second write fails.
+        stdout = ShortStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(self.DEPHASING)
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (
+            4, f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+        assert stdout.writes == 2
+        assert stdout.getvalue().startswith("t,p_g,p_e,") and stdout.getvalue().count("\n") == 4097
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv, read", [
+        (["superdense", "--message", "10", "--delta", "0"], 0),  # short: buffered, fails at flush
+        (DEPHASING, 100),  # as `| head -c 100`: fails while the pipe is full
+    ])
+    def test_reader_leaving_early_names_stdout(self, argv, read, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # the tested package
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "qubitsim.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (4, b"error: cannot write stdout: Broken pipe\n")
