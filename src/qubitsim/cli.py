@@ -7,9 +7,10 @@ identical flags produce byte-identical artifacts.
 
 Each CSV cell is exactly '%#.9g' % value, with -0.0 written as 0.00000000;
 numpy formats long tables of numbers, and % any row it cannot round exactly.
-JSON writes floats in full, -0.0 as 0.0. JSON meta.parameters echoes every
-subcommand flag as parsed: defaults included, unset optional flags left out,
-and a single superdense decode adds transmission_time.
+JSON is one document, {"meta": {subcommand, parameters, version}, "data":
+{name: value}}: each array or list is a column of floats, in full, -0.0 as
+0.0. meta.parameters echoes each subcommand flag as parsed (defaults in, unset
+optional flags out); a single superdense decode adds transmission_time.
 
 Output is written in blocks of BLOCK_ROWS rows: CSV a block of rows at a
 time, JSON each column's floats a block at a time. Nothing is written until
@@ -113,56 +114,38 @@ def _csv_blocks(columns):
         yield _render_csv(block, header=start == 0)
 
 
-def _flat(value) -> bool:
-    """Whether value is a non-empty array of scalars, which the C encoder writes in blocks."""
-    if isinstance(value, np.ndarray):
-        return value.size > 0
-    return isinstance(value, list) and bool(value) and not any(
-        issubclass(kind, (list, tuple, dict)) for kind in set(map(type, value))
-    )
-
-
-def _json_pieces(value, indent, lead):
-    """Yield lead + the text of json.dumps(value, indent=2) nested at indent, cut after each block.
-
-    A flat array goes out BLOCK_ROWS items per piece, a numpy array as Python
-    floats from _columns_json. Returns the text after the last cut.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict) and value and all(type(key) is str for key in value):
-        sep = "{\n" + inner
-        for key, item in value.items():
-            lead = yield from _json_pieces(item, inner, lead + sep + json.dumps(key) + ": ")
-            sep = ",\n" + inner
-        return lead + "\n" + indent + "}"
-    if _flat(value):
-        # indent=2 only puts "\n" + inner between elements, and the C encoder
-        # (which indent turns off) writes whatever item separator it is given.
-        encoder = json.JSONEncoder(separators=(",\n" + inner, ": "))
-        lead += "[\n" + inner
-        for start in range(0, len(value), BLOCK_ROWS):
-            block = value[start:start + BLOCK_ROWS]
-            if isinstance(block, np.ndarray):
-                block = _columns_json([("", block)])[""]
-            yield lead + encoder.encode(block)[1:-1]
-            lead = ",\n" + inner
-        return "\n" + indent + "]"
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    return lead + json.dumps(value, indent=2).replace("\n", "\n" + indent)
+_COLUMN_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _document_pieces(document):
-    tail = yield from _json_pieces(document, "", "")
-    yield tail + "\n"
+    """Yield json.dumps(document, indent=2) + "\n" for run()'s {meta, data} shape in pieces.
+
+    A non-empty list or numpy array in data is a column of BLOCK_ROWS floats
+    a piece, C-encoded with indent=2's item separator; any other value (a
+    float, a str, an empty column) is json.dumps(value).
+    """
+    meta = json.dumps(document["meta"], indent=2).replace("\n", "\n  ")
+    lead = '{\n  "meta": ' + meta + ',\n  "data": {'
+    for i, (name, value) in enumerate(document["data"].items()):
+        lead += (",\n    " if i else "\n    ") + json.dumps(name) + ": "
+        if not isinstance(value, (list, np.ndarray)) or not len(value):
+            lead += "[]" if isinstance(value, np.ndarray) else json.dumps(value)
+            continue
+        lead += "[\n      "
+        for start in range(0, len(value), BLOCK_ROWS):
+            block = value[start:start + BLOCK_ROWS]
+            block = _columns_json([("", block)])[""] if isinstance(block, np.ndarray) else block
+            yield lead + _COLUMN_ENCODER.encode(block)[1:-1]
+            lead = ",\n      "
+        lead = "\n    ]"
+    yield lead + ("\n  }" if document["data"] else "}") + "\n}\n"
 
 
 def _render_json(document, pieces=None) -> str:
-    """Text of json.dumps(document, indent=2) + "\n".
+    """Text of json.dumps(document, indent=2) + "\n" for run()'s {meta, data} document shape.
 
-    Given pieces = _document_pieces(document), only the next piece of that
-    text, and "" after the last: run() writes a document this way, one block
-    of floats per call.
+    Given pieces = _document_pieces(document), only the next piece, and "" after
+    the last: run() writes a document this way, one block of floats per call.
     """
     return "".join(_document_pieces(document)) if pieces is None else next(pieces, "")
 
@@ -254,6 +237,8 @@ def _handle_interference(args):
     state = PhotonState(a, b, args.phi)
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
+    if args.points > sys.maxsize // 8:  # 8 bytes per float64: numpy indexes no longer array
+        raise DomainError(f"--points must be at most {sys.maxsize // 8}, got {args.points}")
     if args.x_max <= args.x_min:
         raise DomainError("--x-max must exceed --x-min")
     if not math.isfinite(args.x_max - args.x_min):

@@ -14,6 +14,7 @@ onto the four entangled basis states. Transmission noise is modeled as pure
 dephasing of the sender's qubit alone.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ def _check_points(n_points, error):
         raise error(f"n_points must be an integer, got {n_points!r}")
     if n_points < 2:
         raise error(f"n_points must be at least 2, got {n_points}")
+    if n_points > sys.maxsize // 8:  # 8 bytes per float64: numpy indexes no longer array
+        raise error(f"n_points must be at most {sys.maxsize // 8}, got {n_points}")
 
 
 @dataclass(frozen=True)

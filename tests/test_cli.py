@@ -15,6 +15,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -778,7 +779,8 @@ class TestNegativeZero:
     def test_renderers(self):
         columns = [("v", np.array([-0.0, 1.5]))]
         assert cli._render_csv(columns) == "v\n0.00000000\n1.50000000\n"
-        assert cli._render_json(cli._columns_json(columns)) == '{\n  "v": [\n    0.0,\n    1.5\n  ]\n}\n'
+        assert cli._render_json({"meta": {}, "data": dict(columns)}) == (
+            '{\n  "meta": {},\n  "data": {\n    "v": [\n      0.0,\n      1.5\n    ]\n  }\n}\n')
 
 
 @pytest.mark.parametrize("argv", [
@@ -813,33 +815,38 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1e-300, -1e-300]),
 )
-_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t/'), st.characters()), max_size=8)
-_SCALARS = st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _TEXT)
-_DOCUMENTS = st.recursive(
-    st.one_of(_SCALARS, st.lists(_FLOATS, max_size=12)),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(_TEXT, children, max_size=4),
-        # Non-string keys, which json converts to strings.
-        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()), children,
-                        max_size=3),
-    ),
-    max_leaves=12,
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/\u00e9\u2028\U0001f600'),
+                          st.characters()), max_size=8)
+_COLUMNS = st.lists(_FLOATS, max_size=20)
+
+
+@given(
+    meta=st.fixed_dictionaries({
+        "subcommand": _TEXT,
+        "parameters": st.dictionaries(_TEXT, st.one_of(_FLOATS, st.integers(), _TEXT),
+                                      max_size=6),
+        "version": _TEXT,
+    }),
+    # Arrays, as run() passes them; lists of floats, as perfbench/baseline.py does.
+    data=st.dictionaries(_TEXT, st.one_of(_COLUMNS.map(np.array), _COLUMNS, _FLOATS, _TEXT),
+                         max_size=6),
+    block_rows=st.sampled_from([1, 2, 3, 4096]),
 )
-
-
-@given(st.dictionaries(_TEXT, _DOCUMENTS, max_size=5))
-def test_render_json_matches_json_dumps(document):
-    assert cli._render_json(document) == json.dumps(document, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("document", [
-    {}, {"a": {}}, {"a": []}, {"a": [[]]}, {"a": [{}]}, {"a": [1.0, [2.0]]},
-    {"a": [1.0, {"a": 1}]}, {"a": {"b": {"c": [-0.0, float("nan"), float("-inf")]}}},
-    {"a": (1.0, 2.0)}, {"a": [(1.0,), 2.0]}, {1: [1.0, 2.0]}, [1.0, 2.0], 1.5, "x",
-])
-def test_render_json_edge_documents(document):
-    assert cli._render_json(document) == json.dumps(document, indent=2) + "\n"
+def test_render_json_is_json_dumps_of_the_run_shape(meta, data, block_rows):
+    # An array's -0.0 is written as 0.0; everything else is echoed as json.dumps writes it.
+    shown = {name: [0.0 if x == 0.0 else x for x in value.tolist()]
+             if isinstance(value, np.ndarray) else value for name, value in data.items()}
+    expected = json.dumps({"meta": meta, "data": shown}, indent=2) + "\n"
+    document = {"meta": meta, "data": data}
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        assert cli._render_json(document) == expected
+        pieces = cli._document_pieces(document)
+        texts = list(iter(lambda: cli._render_json(document, pieces), ""))
+    # One piece per block of each column, and one for the text after the last.
+    columns = [value for value in data.values()
+               if isinstance(value, (list, np.ndarray)) and len(value)]
+    assert len(texts) == sum(-(-len(value) // block_rows) for value in columns) + 1
+    assert "".join(texts) == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,7 +30,9 @@ BASES = {
 }
 
 EDGE_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e300", "1e308", "inf", "-inf", "nan", "-1")
-INT_VALUES = ("-1", "0", "1", "2")
+# The last three are counts whose float64 array numpy cannot index.
+INT_VALUES = ("-1", "0", "1", "2", "9223372036854775807", "9223372036854775808",
+              "18446744073709551616")
 
 
 def _flags(kind):

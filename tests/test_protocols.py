@@ -1,6 +1,7 @@
 """Tests for the Ramsey, Rabi, and superdense coding experiments."""
 
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestRamseyConfig:
                              ids=["nan", "2.5", "40.0", "float64-40", "str-40"])
     def test_rejects_point_counts_that_are_not_integers(self, n_points):
         with pytest.raises(ValueError, match="^n_points must be an integer, got "):
+            RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=n_points)
+
+    @pytest.mark.parametrize("n_points", [sys.maxsize // 8 + 1, np.uint64(2**63), 2**64])
+    def test_rejects_point_counts_past_the_largest_float64_array(self, n_points):
+        match = f"^n_points must be at most {sys.maxsize // 8}, got {n_points}$"
+        with pytest.raises(ValueError, match=match):
             RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=n_points)
 
     def test_accepts_numpy_integer_point_counts(self):
@@ -565,6 +572,12 @@ class TestSuperdenseSweep:
                              ids=["nan", "2.5", "40.0", "float64-40"])
     def test_rejects_point_counts_that_are_not_integers(self, n_points):
         with pytest.raises(DomainError, match="^n_points must be an integer, got "):
+            superdense_channel_sweep(0.1, 1.0, n_points)
+
+    @pytest.mark.parametrize("n_points", [sys.maxsize // 8 + 1, np.uint64(2**63), 2**64])
+    def test_rejects_point_counts_past_the_largest_float64_array(self, n_points):
+        match = f"^n_points must be at most {sys.maxsize // 8}, got {n_points}$"
+        with pytest.raises(DomainError, match=match):
             superdense_channel_sweep(0.1, 1.0, n_points)
 
     @given(st.floats(0.0, 1e3), st.floats(1e-6, 1e3), st.integers(2, 200))
