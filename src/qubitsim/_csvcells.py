@@ -1,7 +1,6 @@
 """'%#.9g' text of a float table, formatted by numpy: the CLI's CSV cell writer.
 
-cli._render_csv imports this module on first use, so a run that writes no
-long CSV table neither compiles it nor builds its tables.
+cli._render_csv sends it every table of numbers, whatever its size.
 
 numpy finds each cell's nine digits and its decimal exponent e. The text of
 the cell is five words looked up in tables indexed by e: a prefix (the sign,

@@ -6,7 +6,8 @@ common reciprocal time unit chosen by the user. Output is deterministic:
 identical flags produce byte-identical artifacts.
 
 Each CSV cell is exactly '%#.9g' % value, with -0.0 written as 0.00000000;
-numpy formats long tables of numbers, and % any row it cannot round exactly.
+numpy formats every table of numbers, and % a row that holds text or that
+numpy cannot round exactly.
 JSON is one document, {"meta": {subcommand, parameters, version}, "data":
 {name: value}}: each array or list is a column of floats, in full, -0.0 as
 0.0. meta.parameters echoes each subcommand flag as parsed (defaults in, unset
@@ -36,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csvcells
 from .dynamics import (
     LindbladChannel,
     QubitHamiltonian,
@@ -48,6 +49,7 @@ from .interference import PhotonState, SlitGeometry, quantum_intensity
 from .protocols import (
     MESSAGES,
     RamseyConfig,
+    _check_points,
     _superdense_probabilities,
     figure_of_merit,
     rabi_with_dephasing,
@@ -75,17 +77,13 @@ def _plus_zero(values) -> np.ndarray:
 # block's peak memory and runs no faster.
 _PIECE_ROWS = 512
 
-# A table with fewer cells (rows times columns) goes through the % row loop,
-# which is faster there.
-_NUMPY_MIN_CELLS = 256
-
 
 def _render_csv(columns, header=True) -> str:
     """Header (if asked for), then one line per row: '%#.9g' % (value + 0.0) per number, text as is.
 
-    A table of at least _NUMPY_MIN_CELLS numbers is formatted by numpy
-    (_csvcells), _PIECE_ROWS rows at a time; any other table by one %-format
-    string per row. Both give the same text.
+    A table of numbers is formatted by numpy (_csvcells), _PIECE_ROWS rows at
+    a time; a table with a text column by one %-format string per row. Both
+    give the same text.
     """
     cells, formats = [], []
     for _, values in columns:
@@ -93,17 +91,12 @@ def _render_csv(columns, header=True) -> str:
         cells.append(values if text else _plus_zero(values))
         formats.append("%s" if text else "%#.9g")  # 9 significant digits, zeros kept
     row = ",".join(formats)
-    lines = [",".join(name for name, _ in columns)] if header else []
-    n_rows = len(cells[0])
-    if n_rows * len(cells) >= _NUMPY_MIN_CELLS and "%s" not in formats:
-        from . import _csvcells  # on first use: see its docstring
-
-        pieces = (np.column_stack([values[start:start + _PIECE_ROWS] for values in cells])
-                  for start in range(0, n_rows, _PIECE_ROWS))
-        body = "".join(_csvcells.format_rows(piece, row) for piece in pieces)
-        return lines[0] + "\n" + body if header else body
-    lines.extend(row % cell for cell in zip(*cells))
-    return "\n".join(lines) + "\n"
+    head = ",".join(name for name, _ in columns) + "\n" if header else ""
+    if "%s" in formats:
+        return head + "".join(row % cell + "\n" for cell in zip(*cells))
+    pieces = (np.column_stack([values[start:start + _PIECE_ROWS] for values in cells])
+              for start in range(0, len(cells[0]), _PIECE_ROWS))
+    return head + "".join(_csvcells.format_rows(piece, row) for piece in pieces)
 
 
 def _csv_blocks(columns):
@@ -235,10 +228,7 @@ def _handle_interference(args):
         norm = math.hypot(a, b)
         a, b = a / norm, b / norm
     state = PhotonState(a, b, args.phi)
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
-    if args.points > sys.maxsize // 8:  # 8 bytes per float64: numpy indexes no longer array
-        raise DomainError(f"--points must be at most {sys.maxsize // 8}, got {args.points}")
+    _check_points(args.points, DomainError, "--points")
     if args.x_max <= args.x_min:
         raise DomainError("--x-max must exceed --x-min")
     if not math.isfinite(args.x_max - args.x_min):

@@ -38,13 +38,13 @@ _IDENTITY = np.eye(2, dtype=complex)
 _ENCODING_OPS = (_IDENTITY, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X)  # in MESSAGES order
 
 
-def _check_points(n_points, error):
+def _check_points(n_points, error, label="n_points"):
     if not isinstance(n_points, (int, np.integer)):
-        raise error(f"n_points must be an integer, got {n_points!r}")
+        raise error(f"{label} must be an integer, got {n_points!r}")
     if n_points < 2:
-        raise error(f"n_points must be at least 2, got {n_points}")
+        raise error(f"{label} must be at least 2, got {n_points}")
     if n_points > sys.maxsize // 8:  # 8 bytes per float64: numpy indexes no longer array
-        raise error(f"n_points must be at most {sys.maxsize // 8}, got {n_points}")
+        raise error(f"{label} must be at most {sys.maxsize // 8}, got {n_points}")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,6 @@ from qubitsim import (
     evolve_lindblad,
 )
 
-# cli imports _csvcells on first use, which binds it on the package; imported
-# here, that binding exists before the test takes its snapshot.
-from qubitsim import _csvcells  # noqa: F401
-
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Wrapped functions that no longer exist; their layers record nothing.

@@ -79,9 +79,8 @@ class TestEmitCsv:
     @staticmethod
     def assert_cells_are_percent_text(values):
         # One value per row among cells of 0.25, so that no other cell sends its row
-        # to %, in four columns, so that both separators occur, and enough rows that
-        # _render_csv formats the table in numpy.
-        table = np.full((max(len(values), cli._NUMPY_MIN_CELLS // 4), 4), 0.25)
+        # to %, in four columns, so that both separators occur.
+        table = np.full((len(values), 4), 0.25)
         table[np.arange(len(values)), np.arange(len(values)) % 4] = values
         expected = "".join(",".join("%#.9g" % (v + 0.0) for v in row) + "\n"
                            for row in table.tolist())
@@ -100,9 +99,9 @@ class TestEmitCsv:
     def test_edge_values_are_percent_text(self):
         self.assert_cells_are_percent_text(self.EDGE_VALUES)
         self.assert_cells_are_percent_text([-v for v in self.EDGE_VALUES])
-        table = np.resize([123456789.5, 9.9999999995, 9.999999995, -0.0], (cli._NUMPY_MIN_CELLS, 1))
-        lines = cli._render_csv([("v", table[:, 0])], header=False).split("\n")
-        assert lines[:4] == ["123456790.", "10.0000000", "9.99999999", "0.00000000"]
+        column = np.array([123456789.5, 9.9999999995, 9.999999995, -0.0])
+        lines = cli._render_csv([("v", column)], header=False).split("\n")
+        assert lines == ["123456790.", "10.0000000", "9.99999999", "0.00000000", ""]
 
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
     def test_wide_floats_are_percent_text(self, values):

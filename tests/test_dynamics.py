@@ -414,14 +414,7 @@ class TestLindbladEvolution:
 
 def reference_static(rho0, h, channels, dt, n_steps):
     """Frozen copy of the earlier static integrator: a degree-4 Taylor propagator."""
-    eye = np.eye(2, dtype=complex)
-    h_mat = hamiltonian_at(h, 0.0)
-    gen = -1j * (np.kron(h_mat, eye) - np.kron(eye, h_mat.T))
-    for ch in channels:
-        op = ch.operator
-        op_sq = op.conj().T @ op
-        gen += np.kron(op, op.conj()) - 0.5 * (np.kron(op_sq, eye) + np.kron(eye, op_sq.T))
-    scaled = gen * dt
+    scaled = frozen_kron_superoperator(hamiltonian_at(h, 0.0), channels) * dt
     prop = np.eye(4, dtype=complex)
     term = np.eye(4, dtype=complex)
     for k in (1, 2, 3, 4):
