@@ -1,58 +1,125 @@
-"""'%#.9g' text of a float table, formatted by numpy: the CLI's CSV cell writer.
+"""Float text formatted by numpy: the CLI's CSV cells and its long JSON columns.
 
-cli._render_csv sends it every table of numbers, whatever its size.
+cli._render_csv sends format_rows every table of numbers, whatever its size,
+for '%#.9g' text. cli._document_pieces sends format_column every long numpy
+block of a JSON data column, for repr text: Python's shortest digits that
+read back as the same float.
 
-numpy finds each cell's nine digits and its decimal exponent e. The text of
-the cell is five words looked up in tables indexed by e: a prefix (the sign,
-then "0." and zeros for -4 <= e < 0), three 3-digit chunks (one of them
-holds the "." where the layout of e puts it), and a suffix (the exponent
-outside -4 <= e < 9, then "," or a newline). Each word is its text padded with
-NUL to 8 bytes (4 for a chunk) and read as one integer; the NULs are dropped
-from the joined cells.
+Both writers find each cell's digits and its decimal exponent e in numpy,
+then look the text up in word tables: a prefix (the sign, then "0." and
+zeros where the layout needs them), 3-digit chunks (one of them holds the
+"." where the layout puts it), and a suffix (the exponent, then the
+separator). Each word is its text padded with NUL to 4 bytes (a chunk) or
+8 or 16 (the others) and read as one integer; the NULs are dropped from the
+joined cells. The chunk table has two axes of layout, the digits of the chunk
+kept and the position of its "."; CSV keeps all three digits.
 """
 
 import numpy as np
 
-# Decimal exponents e that the tables cover: format_rows passes
+# Decimal exponents e that the CSV tables cover: format_rows passes
 # 1e-289 <= |x| < 1e290 to numpy, and e stays in range through both corrections.
 _EXP = 290
 
-# One cell: prefix word, three chunk words, suffix word.
+# Decimal exponents e of the JSON tables: format_column writes 1e-6 < |x| < 1e16
+# in numpy, where 10**(16 - e) is an exact double.
+_LOW, _HIGH = -6, 15
+
+# Veltkamp's constant 2**27 + 1: it splits a double into two halves of 26 bits,
+# whose products are exact, for Dekker's exact product of two doubles.
+_SPLIT = 134217729.0
+
+# json.dumps(indent=2)'s separator between the floats of a data column.
+ITEM_SEPARATOR = ",\n      "
+
+# One CSV cell: prefix word, three chunk words, suffix word.
 _CELL = np.dtype([("prefix", np.uint64), ("chunks", np.uint32, (3,)), ("suffix", np.uint64)])
+# One JSON cell: prefix word, six chunk words (17 digits and a padding zero), suffix words.
+_ITEM = np.dtype([("prefix", np.uint64), ("chunks", np.uint32, (6,)),
+                  ("suffix", np.uint64, (2,))])
 
 
-def _tables():
-    """p10, chunks, points, prefixes and suffixes; row i of all but chunks is e = i - _EXP."""
+def _chunks():
+    """chunks[1000 (4 kept + point) + v]: v's first kept digits, "." after point of them."""
+    v = np.arange(1000)
+    # Per v: its three digits, ".", NUL; per (kept, point, byte): which of the five it writes.
+    letters = np.zeros((5, 1000), np.uint8)
+    letters[:3] = [v // 100, v // 10 % 10, v % 10]
+    letters[:3] += ord("0")
+    letters[3] = ord(".")
+    kept, point, byte = np.ogrid[:4, :4, :4]
+    digit = byte - ((point > 0) & (byte > point))
+    source = np.where((point > 0) & (byte == point), 3, np.where(digit < kept, digit, 4))
+    words = letters[source]  # (kept, point, byte, v)
+    return words.transpose(0, 1, 3, 2).reshape(16000, 4).view(np.uint32).ravel()
+
+
+def _csv_tables():
+    """p10, points, prefixes and suffixes; row i is e = i - _EXP."""
     e = np.arange(-_EXP, _EXP + 1)
     fixed = (e >= -4) & (e < 9)  # where %#.9g writes no exponent
     p10 = np.array([float(f"1e{8 - k}") for k in range(-_EXP, _EXP + 1)])  # correctly rounded
-    # chunks[1000 p + v]: the three digits of v, with "." after the first p of them if p > 0.
-    v = np.arange(1000)
-    digits = np.stack([v // 100, v // 10 % 10, v % 10], axis=1) + ord("0")
-    chunks = np.zeros((4, 1000, 4), np.uint8)
-    chunks[0, :, :3] = digits
-    for p in (1, 2, 3):
-        chunks[p, :, :p], chunks[p, :, p] = digits[:, :p], ord(".")
-        chunks[p, :, p + 1:] = digits[:, p:]
     # The "." follows digit e + 1 in fixed notation and digit 1 in exponential;
-    # for e < 0 it is in the prefix. points[i, k] is chunk k's p, times 1000.
+    # for e < 0 it is in the prefix. points[i, k] is chunk k's offset in _CHUNKS.
     before = np.where(fixed, np.maximum(e + 1, 0), 1)[:, None] - np.array([0, 3, 6])
-    points = np.where((before >= 1) & (before <= 3), before, 0) * 1000
+    points = (12 + np.where((before >= 1) & (before <= 3), before, 0)) * 1000
     # prefixes[2 i + negative]: the sign, then "0." and its zeros for -4 <= e < 0.
-    lead = [sign + ("0." + "0" * (n - 1) if n else "") for n in range(5) for sign in ("", "-")]
-    words = np.array(lead, "S8").view(np.uint64).reshape(5, 2)
-    prefixes = words[np.where(fixed & (e < 0), -e, 0)].ravel()
+    prefixes = _LEADS[np.where(fixed & (e < 0), -e, 0)].ravel()
     # suffixes[2 i + last]: the exponent outside fixed notation, then "," or, ending a row, "\n".
-    suffixes = np.array([("" if f else f"e{k:+03d}") + end
-                         for k, f in zip(e.tolist(), fixed.tolist()) for end in (",", "\n")],
-                        "S8").view(np.uint64)
-    tables = p10, chunks.reshape(4000, 4).view(np.uint32).ravel(), points, prefixes, suffixes
-    for table in tables:  # every call shares them
-        table.flags.writeable = False
-    return tables
+    # A NUL in place of a zero hundreds digit drops out with the padding.
+    k = np.abs(e)
+    words = np.zeros((e.size, 2, 8), np.uint8)
+    words[:, :, :5] = (~fixed[:, None] * np.stack([
+        np.full(e.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+        np.where(k >= 100, k // 100 + ord("0"), 0), k // 10 % 10 + ord("0"), k % 10 + ord("0"),
+    ], axis=1))[:, None]
+    words[:, :, 5] = [ord(","), ord("\n")]
+    suffixes = words.view(np.uint64).ravel()
+    return p10, points, prefixes, suffixes
 
 
-_P10, _CHUNKS, _POINTS, _PREFIXES, _SUFFIXES = _tables()
+def _json_tables():
+    """Splits of 10**(16 - e), layouts, last digits, prefixes, suffixes; row i is e = i + _LOW."""
+    e = np.arange(_LOW, _HIGH + 1)
+    p10 = np.array([float(f"1e{16 - k}") for k in e.tolist()])  # 10**1 to 10**22: exact
+    c = p10 * _SPLIT
+    p10_hi = c - (c - p10)
+    # The last row scales 2**(E - 1) to half an ulp, in units of y = x * 10**(16 - e).
+    splits = np.stack([p10, p10_hi, p10 - p10_hi, p10 * 2.0**-53])
+    # repr writes digits 1 to L of the 17, with "." after digit point (none if 0):
+    # e < -4 as d.ddde-05, the rest positional, at least one digit after the ".".
+    p = np.arange(18)[:, None]  # significant digits
+    positional = e >= -4
+    length = np.where(e >= 0, np.maximum(p, e + 2), p)
+    point = np.where(positional, np.maximum(e + 1, 0), np.where(p > 1, 1, 0))
+    start = 3 * np.arange(6)
+    kept = np.clip(length[..., None] - start, 0, 3)
+    at = point[..., None] - start
+    layouts = (4 * kept + np.where((at >= 1) & (at <= 3), at, 0)) * 1000  # (p, e, chunk)
+    # last[1000 k + v]: the position among the 18 digits of v's last nonzero digit, in chunk k.
+    v = np.arange(1000)
+    zeros = (v % 10 == 0).astype(int) + (v % 100 == 0) + (v == 0)
+    last = np.where(v > 0, start[:, None] + 3 - zeros, 0).ravel()
+    prefixes = _LEADS[np.where(positional & (e < 0), -e, 0)].ravel()
+    suffixes = np.array([[f"e{k:03d}" * (k < -4) + end for end in (ITEM_SEPARATOR, "")]
+                         for k in e.tolist()], "S16")
+    return (splits, layouts.reshape(-1, 6).T.astype(np.int32), last.astype(np.int32), prefixes,
+            suffixes.view(np.uint64).reshape(-1, 2))
+
+
+# _LEADS[n, negative]: the sign, then "0." and n - 1 zeros if n > 0.
+_LEADS = np.array([sign + ("0." + "0" * (n - 1) if n else "") for n in range(5)
+                   for sign in ("", "-")], "S8").view(np.uint64).reshape(5, 2)
+_CHUNKS = _chunks()
+_P10, _POINTS, _PREFIXES, _SUFFIXES = _csv_tables()
+_SPLITS, _LAYOUTS, _LAST, _ITEM_PREFIXES, _ITEM_SUFFIXES = _json_tables()
+for _table in (_LEADS, _CHUNKS, _P10, _POINTS, _PREFIXES, _SUFFIXES, _SPLITS, _LAYOUTS, _LAST,
+               _ITEM_PREFIXES, _ITEM_SUFFIXES):
+    _table.flags.writeable = False  # every call shares them
+del _table
+_ROWS = 1000 * np.arange(6)[:, None]  # chunk k's rows of _LAST
+# A cell that fallback writes: "\1", which format_column replaces with its text.
+_GAP = np.array(b"\1", "S8").view(np.uint64)
 
 
 def format_rows(table, row) -> str:
@@ -99,4 +166,101 @@ def format_rows(table, row) -> str:
         for r in np.flatnonzero(~decided.reshape(rows, cols).all(axis=1)).tolist():
             lines[r] = row % tuple(table[r])
         text = "\n".join(lines)
+    return text
+
+
+def _times_power_of_ten(a, i):
+    """a * 10**(16 - e) exactly as hi + lo, e = i + _LOW: Dekker's product of Veltkamp splits."""
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * _SPLITS[0].take(i)
+    p_hi, p_lo = _SPLITS[1].take(i), _SPLITS[2].take(i)
+    return hi, a_hi * p_hi - hi + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo
+
+
+def format_column(x, fallback) -> str:
+    """ITEM_SEPARATOR.join(map(repr, x)) for a 1-D float64 array, in numpy.
+
+    numpy writes 0.0, -0.0 and 1e-6 < |x| < 1e16 apart from powers of two.
+    fallback(values) returns the text of the other cells (NaN, inf, the
+    rest), joined by ITEM_SEPARATOR, and each is put in its place; a block
+    with no cell in that band is fallback's text alone.
+
+    Each in-band x has y = x * 10**(16 - e) in [1e16, 1e17), made exact as
+    n + f. The 17-, 16- and 15-digit candidates round y half-even to a
+    multiple of 1, 10 or 100. One reads back as x if it lies within half an
+    ulp of x, which in units of y is H = 2**(E - 54) * 10**(16 - e), between
+    0.55 and 11.2, for 2**(E - 1) <= |x| < 2**E; the ulp below |x| is as wide
+    except at a power of two. A candidate at exactly H would be a binary
+    midpoint, which has 17 digits or more below 2**53 and is odd above it, so
+    none is. Two multiples of 100 never both read back, so a shorter candidate
+    that reads back is the 15-digit one, its trailing zeros stripped. The
+    17-digit one always reads back. y never rounds up to 1e17: 10**(e + 1)
+    would then read back as x, and fl(10**k) < 10**k only for k = -6.
+    """
+    a = np.abs(x)
+    # fl(1e-6) is below 1e-6, so the band starts above it. NaN compares false.
+    band = (a > 1e-6) & (a < 1e16) & (a.view(np.int64) & (2**52 - 1) != 0)
+    if not band.any():
+        return fallback(x)
+    safe = np.where(band, a, 1.5)
+    i = np.clip(np.floor(np.log10(safe)).astype(np.intp), _LOW, _HIGH) - _LOW  # e - _LOW
+    hi, lo = _times_power_of_ten(safe, i)
+    # log10 can land on the wrong side of a power of ten; move e so that 1e16 <= y < 1e17.
+    off = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0))
+                         | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    if off.size:
+        i[off] += np.where(hi[off] <= 1e16, -1, 1)
+        hi[off], lo[off] = _times_power_of_ten(safe[off], i[off])
+    # y = n + f, 0 <= f < 1, exactly: hi is an even integer, and lo a multiple of
+    # 2**-50 with |lo| <= 8. So are H = h_whole + h_part and the sums below.
+    below = np.floor(lo)
+    f = lo - below
+    whole = hi.astype(np.int64)
+    n = whole + below.astype(np.int64)
+    digits = whole + np.rint(lo).astype(np.int64)  # 17 digits: rint rounds lo half-even
+    half = (safe.view(np.int64) & 0x7FF << 52).view(np.float64) * _SPLITS[3].take(i)
+    h_whole = np.floor(half)
+    ahead, behind = half - h_whole - f, half - h_whole + f
+    tens = n // 10
+    r10 = n - 10 * tens
+    # 16 digits: n - r10 reads back if r10 + f < H, n - r10 + 10 if 10 - r10 - f < H.
+    # Both may; then the nearer, half-even at a tie. One alone is the nearer.
+    r = r10.astype(np.float64)
+    down = r - h_whole < ahead
+    up = 10.0 - h_whole - r < behind
+    up &= (5.0 - r < f) | ((5.0 - r == f) & (tens & 1 == 1))
+    digits = np.where(down | up, n - r10 + 10 * up, digits)
+    # 15 digits: only one multiple of 100 can read back.
+    r100 = n - 100 * (tens // 10)
+    r = r100.astype(np.float64)
+    down = r - h_whole < ahead
+    up = 100.0 - h_whole - r < behind
+    digits = np.where(down | up, n - r100 + 100 * up, digits)
+    digits *= band  # zero and the cells that fallback writes: 0.0
+    # Chunks of three digits from 18: the 17 and a padding zero.
+    top = digits // 10**8
+    nines = np.array([top, (digits - top * 10**8) * 10], np.int32)
+    high = nines // 1000
+    chunks = np.empty((2, 3, x.size), np.int32)
+    np.floor_divide(high, 1000, out=chunks[:, 0])
+    np.subtract(high, 1000 * chunks[:, 0], out=chunks[:, 1])
+    np.subtract(nines, 1000 * high, out=chunks[:, 2])
+    chunks = chunks.reshape(6, -1)
+    p = _LAST.take(chunks + _ROWS).max(axis=0)  # significant digits; 0 for 0.0
+    cells = np.empty(x.size, _ITEM)
+    cells["chunks"] = _CHUNKS.take(_LAYOUTS.take(p * (_HIGH - _LOW + 1) + i, axis=1) + chunks).T
+    i *= 2
+    cells["prefix"] = _ITEM_PREFIXES.take(i + np.signbit(x))
+    i[-1:] += 1
+    cells["suffix"] = _ITEM_SUFFIXES.take(i, axis=0)
+    rest = np.flatnonzero(~band & (a != 0.0))
+    cells["prefix"][rest], cells["chunks"][rest] = _GAP, 0
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    if rest.size:
+        items = [""] * (2 * rest.size + 1)
+        items[::2] = text.split("\1")
+        items[1::2] = fallback(x[rest]).split(ITEM_SEPARATOR)
+        text = "".join(items)
     return text

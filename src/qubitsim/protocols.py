@@ -38,13 +38,20 @@ _IDENTITY = np.eye(2, dtype=complex)
 _ENCODING_OPS = (_IDENTITY, SIGMA_Z, SIGMA_X, SIGMA_Z @ SIGMA_X)  # in MESSAGES order
 
 
+# The most points a scan takes. numpy makes no float64 array of 2**60 values
+# (sys.maxsize // 8 + 1), and np.linspace rounds its count to a float64 first, so
+# counts within 64 below 2**60 fail too, with an error that names no argument.
+# Half of 2**60 keeps clear of both; a scan too long for memory fails to allocate.
+_MAX_POINTS = sys.maxsize // 16
+
+
 def _check_points(n_points, error, label="n_points"):
     if not isinstance(n_points, (int, np.integer)):
         raise error(f"{label} must be an integer, got {n_points!r}")
     if n_points < 2:
         raise error(f"{label} must be at least 2, got {n_points}")
-    if n_points > sys.maxsize // 8:  # 8 bytes per float64: numpy indexes no longer array
-        raise error(f"{label} must be at most {sys.maxsize // 8}, got {n_points}")
+    if n_points > _MAX_POINTS:
+        raise error(f"{label} must be at most {_MAX_POINTS}, got {n_points}")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from readme_commands import readme_commands
 
 import qubitsim
-from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries
+from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries, rabi_with_dephasing
 from qubitsim import _csvcells, cli, dynamics
 from qubitsim.cli import main
 
@@ -867,6 +867,99 @@ def test_main_json_is_json_dumps_layout(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0, err
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def repr_column(values):
+    """ITEM_SEPARATOR.join(map(repr, values)), with json's NaN and Infinity."""
+    return _csvcells.ITEM_SEPARATOR.join(repr(v) if math.isfinite(v) else json.dumps(v)
+                                         for v in values)
+
+
+def numpy_column(values):
+    return _csvcells.format_column(np.array(values, dtype=float), cli._floats_json)
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array([bits], np.uint64).view(np.float64)[0].item())
+_LOG_UNIFORM = st.builds(lambda k, sign: sign * 10.0**k, st.floats(-8, 18),
+                         st.sampled_from([1, -1]))
+_DECIMALS = st.builds(round, st.floats(-1e4, 1e4), st.sampled_from([3, 6]))
+_WHOLE = st.integers(-2**55, 2**55)
+_CELLS = st.one_of(_BIT_PATTERNS, _LOG_UNIFORM, _DECIMALS, _WHOLE.map(float),
+                   _WHOLE.map(lambda k: k / 4))
+_GRIDS = st.builds(lambda dt, n: (dt * np.arange(n)).tolist(), st.floats(1e-4, 10),
+                   st.integers(1, 300))
+
+
+class TestJsonFloats:
+    """_csvcells.format_column writes repr's text of each float, as the C encoder does."""
+
+    @settings(max_examples=200)
+    @given(st.lists(_CELLS, min_size=1, max_size=200) | _GRIDS)
+    def test_cells_are_repr_text(self, values):
+        assert numpy_column(values) == repr_column(values)
+
+    # The band's ends; powers of ten, whose neighbours below log10 rounds up to
+    # them; powers of two, which fallback writes, and their neighbours; ties of
+    # the 17th digit (0.5 units) and of the 16th (5 units), where both
+    # neighbouring 16-digit candidates read back; and cells outside the band.
+    POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-6, 17)])
+    POWERS_OF_TWO = 2.0 ** np.arange(-25, 54)
+    EDGE_VALUES = [
+        *POWERS_OF_TEN, *np.nextafter(POWERS_OF_TEN, 0.0), *np.nextafter(POWERS_OF_TEN, np.inf),
+        *np.nextafter(np.nextafter(POWERS_OF_TEN, 0.0), 0.0),
+        *POWERS_OF_TWO, *np.nextafter(POWERS_OF_TWO, 0.0), *np.nextafter(POWERS_OF_TWO, np.inf),
+        0.5, 9.5, 999.5, 1e15 + 0.5, 1e15 + 0.25, 1e15 + 0.75, 600000000000000.25,
+        600000000000000.75, 0.1, 0.3, 1 / 3, 2 / 3, 9.999999999999999e15, 1.0000000000000002e-6,
+        0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    ]
+
+    def test_edge_values_are_repr_text(self):
+        values = [float(v) for v in self.EDGE_VALUES]
+        for column in (values, [-v for v in values], [0.25, *values], values[::-1]):
+            assert numpy_column(column) == repr_column(column)
+        assert numpy_column([600000000000000.25, 600000000000000.75, 0.1]).split(",\n      ") == [
+            "600000000000000.2", "600000000000000.8", "0.1"]
+
+    def test_only_cells_outside_the_band_take_the_fallback(self):
+        calls = []
+
+        def fallback(values):
+            calls.append(values.tolist())
+            return cli._floats_json(values)
+
+        column = np.array([0.1, 0.0, 2e-6, 1e-6, -3e-7, -0.0, 1.5e16, 4.0, 9e15, math.nan,
+                           -math.inf, 0.0, 1e-300, 0.75])
+        assert _csvcells.format_column(column, fallback) == repr_column(column.tolist())
+        # Zeros, -0.0 and 0.75 are in numpy's hands; NaN equals no list item, so compare text.
+        assert len(calls) == 1
+        assert repr_column(calls[0]) == repr_column([1e-6, -3e-7, 1.5e16, 4.0, math.nan,
+                                                     -math.inf, 1e-300])
+        # A block with no cell in the band is fallback's text alone.
+        calls.clear()
+        column = np.array([0.0, 0.5, 1e-7, 0.0])
+        assert _csvcells.format_column(column, fallback) == repr_column(column.tolist())
+        assert calls == [column.tolist()]
+
+    @pytest.mark.parametrize("rows", [cli._NUMPY_FLOATS - 1, cli._NUMPY_FLOATS])
+    def test_numpy_writes_blocks_of_numpy_floats_or_more(self, monkeypatch, rows):
+        calls = []
+        format_column = _csvcells.format_column
+
+        def spy(values, fallback):
+            calls.append(len(values))
+            return format_column(values, fallback)
+
+        monkeypatch.setattr(_csvcells, "format_column", spy)
+        columns = cli._series_columns(rabi_with_dephasing(1.0, 0.01, 1.0, (rows - 1) * 0.01, 0.01))
+        assert len(columns[0][1]) == rows
+        document = {"meta": {"subcommand": "rabi", "parameters": {}, "version": "0"},
+                    "data": {**dict(columns), "figure_of_merit": 0.5}}
+        shown = {name: value.tolist() if isinstance(value, np.ndarray) else value
+                 for name, value in document["data"].items()}
+        expected = json.dumps({"meta": document["meta"], "data": shown}, indent=2) + "\n"
+        assert cli._render_json(document) == expected
+        assert calls == ([rows] * len(columns) if rows >= cli._NUMPY_FLOATS else [])
 
 
 @pytest.mark.parametrize("value", ["1e300", "1e308", "inf", "-inf", "nan"])

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,9 +31,11 @@ BASES = {
 }
 
 EDGE_VALUES = ("0", "-0.0", "1e-320", "1e-300", "1e300", "1e308", "inf", "-inf", "nan", "-1")
-# The last three are counts whose float64 array numpy cannot index.
-INT_VALUES = ("-1", "0", "1", "2", "9223372036854775807", "9223372036854775808",
-              "18446744073709551616")
+# Counts past the point limit, sys.maxsize // 16: 2**59; 2**60 - 64 and 2**60 - 1, which
+# np.linspace refuses; and counts whose float64 array numpy cannot index.
+POINTS_PAST_LIMIT = ("576460752303423488", "1152921504606846912", "1152921504606846975",
+                     "9223372036854775807", "9223372036854775808", "18446744073709551616")
+INT_VALUES = ("-1", "0", "1", "2", *POINTS_PAST_LIMIT)
 
 
 def _flags(kind):
@@ -115,6 +118,17 @@ def test_integer_values_keep_the_contract(command, flag, value):
     # The superdense base has --t-max, so its --points varies a sweep.
     for fmt in ("csv", "json"):
         assert_contract(_argv(command, flag, value, fmt))
+
+
+@pytest.mark.parametrize("value", POINTS_PAST_LIMIT)
+@pytest.mark.parametrize("command", ["interference", "ramsey", "superdense"])
+def test_point_counts_past_the_limit_name_the_count(command, value):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_argv(command, "--points", value, "json"))
+    assert (code, out.getvalue()) == (2, "")
+    label = "--points" if command == "interference" else "n_points"
+    assert err.getvalue() == f"error: {label} must be at most {sys.maxsize // 16}, got {value}\n"
 
 
 @settings(max_examples=100)

@@ -73,9 +73,11 @@ class TestRamseyConfig:
         with pytest.raises(ValueError, match="^n_points must be an integer, got "):
             RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=n_points)
 
-    @pytest.mark.parametrize("n_points", [sys.maxsize // 8 + 1, np.uint64(2**63), 2**64])
+    # np.linspace refuses 2**60 - 64 and above with an error that names no argument.
+    @pytest.mark.parametrize("n_points", [sys.maxsize // 16 + 1, 2**60 - 64, 2**60 - 1,
+                                          np.uint64(2**63), 2**64])
     def test_rejects_point_counts_past_the_largest_float64_array(self, n_points):
-        match = f"^n_points must be at most {sys.maxsize // 8}, got {n_points}$"
+        match = f"^n_points must be at most {sys.maxsize // 16}, got {n_points}$"
         with pytest.raises(ValueError, match=match):
             RamseyConfig(delta_split=1.0, tau_max=10.0, n_points=n_points)
 
@@ -574,9 +576,11 @@ class TestSuperdenseSweep:
         with pytest.raises(DomainError, match="^n_points must be an integer, got "):
             superdense_channel_sweep(0.1, 1.0, n_points)
 
-    @pytest.mark.parametrize("n_points", [sys.maxsize // 8 + 1, np.uint64(2**63), 2**64])
+    # np.linspace refuses 2**60 - 64 and above with an error that names no argument.
+    @pytest.mark.parametrize("n_points", [sys.maxsize // 16 + 1, 2**60 - 64, 2**60 - 1,
+                                          np.uint64(2**63), 2**64])
     def test_rejects_point_counts_past_the_largest_float64_array(self, n_points):
-        match = f"^n_points must be at most {sys.maxsize // 8}, got {n_points}$"
+        match = f"^n_points must be at most {sys.maxsize // 16}, got {n_points}$"
         with pytest.raises(DomainError, match=match):
             superdense_channel_sweep(0.1, 1.0, n_points)
 
