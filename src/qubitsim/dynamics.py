@@ -155,9 +155,11 @@ class TimeSeries:
         if n >= 2:
             # Both tests ask whether the grid is within tolerance, so that a
             # NaN time, which compares False with everything, fails them.
+            # Every step is tested for > 0: below dt of about 1e-9 the
+            # spacing allowance exceeds dt, and a step back would pass it.
             steps = np.diff(self.times)
             dt = steps[0]
-            if not dt > 0:
+            if not steps.min() > 0:
                 raise ValueError("sample times must be strictly increasing")
             rounding = SPACING_ULPS * np.spacing(max(abs(self.times[0]), abs(self.times[-1])))
             if not np.max(np.abs(steps - dt)) <= SPACING_RTOL * max(1.0, abs(dt)) + rounding:
@@ -165,6 +167,21 @@ class TimeSeries:
         for name in ("p_g", "p_e", "rho01"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} values must be finite")
+
+    @classmethod
+    def _checked(cls, times, p_g, p_e, rho01) -> "TimeSeries":
+        """Record of columns that their maker has already checked, without __post_init__'s scan.
+
+        For evolve_lindblad's record: its times are k * dt by construction,
+        so uniform and increasing, and its columns are finite because no NaN
+        or inf passes the trajectory's trace and hermiticity checks. The
+        arrays must have the column dtypes and equal lengths. They are made
+        read-only in place and held, not copied, so the caller must own them.
+        """
+        series = object.__new__(cls)
+        for name, column in (("times", times), ("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
+            object.__setattr__(series, name, _readonly(column))
+        return series
 
     @property
     def t0(self) -> float:
@@ -383,19 +400,31 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
 
     The checks run a block of _CHECK_ROWS rows at a time. A block with a
     breach sends the search to the whole trajectory, so the first check to
-    fail is reported at its first failing step.
+    fail is reported at its first failing step. A block that passes has its
+    columns copied out while it is still in cache, so the record does not
+    keep the whole trajectory alive and the trajectory is read once.
+
+    The record skips TimeSeries' own scan: its times are k * dt by
+    construction, and its columns are finite because no NaN or inf sample
+    passes the trace and hermiticity checks.
     """
-    for first in range(0, traj.shape[0], _CHECK_ROWS):
-        if all(ok.all() for ok, _, _ in _checks(traj[first : first + _CHECK_ROWS])):
+    n = traj.shape[0]
+    p_g, p_e, rho01 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    for first in range(0, n, _CHECK_ROWS):
+        block = slice(first, first + _CHECK_ROWS)
+        rows = traj[block]
+        if all(ok.all() for ok, _, _ in _checks(rows)):
+            p_g[block], p_e[block], rho01[block] = rows[:, 0].real, rows[:, 3].real, rows[:, 1]
             continue
         for ok, measure, message in _checks(traj):
             if not ok.all():
                 idx = int(np.argmin(ok))
                 raise NumericalInstabilityError(f"{message.format(measure[idx])} at step {idx}")
-    times = dt * np.arange(traj.shape[0])
-    # Copies, so the record does not keep the whole trajectory array alive.
-    return TimeSeries(times=times, p_g=traj[:, 0].real.copy(), p_e=traj[:, 3].real.copy(),
-                      rho01=traj[:, 1].copy())
+    # k < 2**53 converts to float exactly, so this is bitwise dt * np.arange(n)
+    # without its int64 temporary.
+    times = np.arange(n, dtype=float)
+    times *= dt
+    return TimeSeries._checked(times, p_g, p_e, rho01)
 
 
 def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float) -> TimeSeries:

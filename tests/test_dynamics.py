@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1092,15 +1093,72 @@ class TestDephasingTime:
         assert dephasing_time(1e308) == 0.5 / 1e308 > 0.0
 
 
+class TestEvolutionRecord:
+    """evolve_lindblad records the trajectory's own columns, checked and copied in one pass."""
+
+    DT = 0.01
+    STATIC = (QubitHamiltonian(epsilon=1.0), (LindbladChannel.pure_dephasing(0.1),))
+    DRIVEN = (QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, omega0=1.0,
+                               drive_mode=DriveMode.FULL_COSINE),
+              (LindbladChannel.pure_dephasing(0.02),))
+
+    # A coherence with an imaginary part, so rho10 is not rho01.
+    RHO0 = random_density(np.random.default_rng(29))
+
+    def run(self, generator, n_steps):
+        return evolve_lindblad(self.RHO0, *generator, n_steps * self.DT, self.DT)
+
+    @pytest.mark.parametrize("generator", [STATIC, DRIVEN], ids=["static", "full_cosine"])
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
+    def test_columns_are_the_trajectory_columns_bitwise(self, generator, rows):
+        series = self.run(generator, rows - 1)
+        traj = _integrate_static(self.RHO0.matrix, *generator, self.DT, rows - 1)
+        assert len(series) == rows
+        assert series.times.tobytes() == (self.DT * np.arange(rows)).tobytes()
+        assert series.p_g.tobytes() == traj[:, 0].real.tobytes()
+        assert series.p_e.tobytes() == traj[:, 3].real.tobytes()
+        assert series.rho01.tobytes() == traj[:, 1].tobytes()
+
+    def test_record_is_not_scanned_again(self, monkeypatch):
+        calls = []
+        post_init = TimeSeries.__post_init__
+
+        def spy(series):
+            calls.append(len(series.times))
+            post_init(series)
+
+        monkeypatch.setattr(TimeSeries, "__post_init__", spy)
+        TimeSeries(times=[0.0, 1.0], p_g=[1.0, 1.0], p_e=[0.0, 0.0], rho01=[0.0, 0.0])
+        assert calls == [2]
+        assert len(self.run(self.STATIC, 5000)) == 5001
+        assert len(self.run(self.DRIVEN, 5000)) == 5001
+        assert calls == [2]
+
+    def test_peak_memory_is_the_trajectory_and_the_record(self):
+        # 64 bytes a sample for the trajectory, 32 for the columns and 8 for the
+        # times; block-sized temporaries of the check fit in the 256 KiB.
+        n_steps = 400_000
+        self.run(self.STATIC, 10)
+        tracemalloc.start()
+        try:
+            self.run(self.STATIC, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 104 * (n_steps + 1) + 256 * 2**10
+
+
 class TestTimeSeries:
     def test_evolution_columns_hold_no_larger_array(self):
+        # 10,001 rows: two blocks of _CHECK_ROWS and a short one.
         series = evolve_lindblad(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0),
-                                 [LindbladChannel.pure_dephasing(0.1)], 1.0, 0.01)
+                                 [LindbladChannel.pure_dephasing(0.1)], 100.0, 0.01)
         for name in ("times", "p_g", "p_e", "rho01"):
             column = root = getattr(series, name)
             while root.base is not None:
                 root = root.base
             assert column.flags.c_contiguous and root.nbytes == column.nbytes, name
+            assert not column.flags.writeable, name
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
@@ -1122,6 +1180,14 @@ class TestTimeSeries:
                 p_e=np.ones(3),
                 rho01=np.zeros(3, dtype=complex),
             )
+
+    @pytest.mark.parametrize("times", [[0.0, 1e-12, 0.0], [0.0, 5e-10, 0.0, 5e-10]])
+    def test_rejects_steps_back_within_the_spacing_allowance(self, times):
+        # Each step back is within 1e-9 * max(1, dt) of the first step.
+        n = len(times)
+        with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+            TimeSeries(times=np.array(times), p_g=np.zeros(n), p_e=np.ones(n),
+                       rho01=np.zeros(n, dtype=complex))
 
     @pytest.mark.parametrize("column, bad", [
         ("p_g", np.nan), ("p_g", np.inf), ("p_e", -np.inf), ("p_e", np.nan),
