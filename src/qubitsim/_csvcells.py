@@ -1,9 +1,9 @@
-"""Float text formatted by numpy: the CLI's CSV cells and its long JSON columns.
+"""Float text formatted by numpy: the CLI's CSV cells and its JSON columns.
 
 cli._render_csv sends format_rows every table of numbers, whatever its size,
-for '%#.9g' text. cli._document_pieces sends format_column every long numpy
-block of a JSON data column, for repr text: Python's shortest digits that
-read back as the same float.
+for '%#.9g' text. cli._document_pieces sends format_column every block of a
+JSON data column, for repr text: Python's shortest digits that read back as
+the same float; short blocks and what numpy cannot write take the C encoder.
 
 Both writers find each cell's digits and its decimal exponent e in numpy,
 then look the text up in word tables: a prefix (the sign, then "0." and
@@ -14,6 +14,8 @@ separator). Each word is its text padded with NUL to 4 bytes (a chunk) or
 joined cells. The chunk table has two axes of layout, the digits of the chunk
 kept and the position of its "."; CSV keeps all three digits.
 """
+
+import json
 
 import numpy as np
 
@@ -31,6 +33,13 @@ _SPLIT = 134217729.0
 
 # json.dumps(indent=2)'s separator between the floats of a data column.
 ITEM_SEPARATOR = ",\n      "
+
+_ENCODER = json.JSONEncoder(separators=(ITEM_SEPARATOR, ": "))
+
+# Floats in a block from which format_column writes it faster than the C
+# encoder. Its fixed cost is about 0.1 ms; the two break even near 300 floats
+# of 17 digits, and later for floats with fewer digits.
+_NUMPY_FLOATS = 500
 
 # One CSV cell: prefix word, three chunk words, suffix word.
 _CELL = np.dtype([("prefix", np.uint64), ("chunks", np.uint32, (3,)), ("suffix", np.uint64)])
@@ -64,7 +73,9 @@ def _csv_tables():
     before = np.where(fixed, np.maximum(e + 1, 0), 1)[:, None] - np.array([0, 3, 6])
     points = (12 + np.where((before >= 1) & (before <= 3), before, 0)) * 1000
     # prefixes[2 i + negative]: the sign, then "0." and its zeros for -4 <= e < 0.
-    prefixes = _LEADS[np.where(fixed & (e < 0), -e, 0)].ravel()
+    leads = np.array([sign + ("0." + "0" * (n - 1) if n else "") for n in range(5)
+                      for sign in ("", "-")], "S8").view(np.uint64).reshape(5, 2)
+    prefixes = leads[np.where(fixed & (e < 0), -e, 0)].ravel()
     # suffixes[2 i + last]: the exponent outside fixed notation, then "," or, ending a row, "\n".
     # A NUL in place of a zero hundreds digit drops out with the padding.
     k = np.abs(e)
@@ -79,7 +90,7 @@ def _csv_tables():
 
 
 def _json_tables():
-    """Splits of 10**(16 - e), layouts, last digits, prefixes, suffixes; row i is e = i + _LOW."""
+    """Splits of 10**(16 - e), layouts, last digits and suffixes; row i is e = i + _LOW."""
     e = np.arange(_LOW, _HIGH + 1)
     p10 = np.array([float(f"1e{16 - k}") for k in e.tolist()])  # 10**1 to 10**22: exact
     c = p10 * _SPLIT
@@ -100,25 +111,21 @@ def _json_tables():
     v = np.arange(1000)
     zeros = (v % 10 == 0).astype(int) + (v % 100 == 0) + (v == 0)
     last = np.where(v > 0, start[:, None] + 3 - zeros, 0).ravel()
-    prefixes = _LEADS[np.where(positional & (e < 0), -e, 0)].ravel()
     suffixes = np.array([[f"e{k:03d}" * (k < -4) + end for end in (ITEM_SEPARATOR, "")]
                          for k in e.tolist()], "S16")
-    return (splits, layouts.reshape(-1, 6).T.astype(np.int32), last.astype(np.int32), prefixes,
+    return (splits, layouts.reshape(-1, 6).T.astype(np.int32), last.astype(np.int32),
             suffixes.view(np.uint64).reshape(-1, 2))
 
 
-# _LEADS[n, negative]: the sign, then "0." and n - 1 zeros if n > 0.
-_LEADS = np.array([sign + ("0." + "0" * (n - 1) if n else "") for n in range(5)
-                   for sign in ("", "-")], "S8").view(np.uint64).reshape(5, 2)
 _CHUNKS = _chunks()
 _P10, _POINTS, _PREFIXES, _SUFFIXES = _csv_tables()
-_SPLITS, _LAYOUTS, _LAST, _ITEM_PREFIXES, _ITEM_SUFFIXES = _json_tables()
-for _table in (_LEADS, _CHUNKS, _P10, _POINTS, _PREFIXES, _SUFFIXES, _SPLITS, _LAYOUTS, _LAST,
-               _ITEM_PREFIXES, _ITEM_SUFFIXES):
+_SPLITS, _LAYOUTS, _LAST, _ITEM_SUFFIXES = _json_tables()
+for _table in (_CHUNKS, _P10, _POINTS, _PREFIXES, _SUFFIXES, _SPLITS, _LAYOUTS, _LAST,
+               _ITEM_SUFFIXES):
     _table.flags.writeable = False  # every call shares them
 del _table
 _ROWS = 1000 * np.arange(6)[:, None]  # chunk k's rows of _LAST
-# A cell that fallback writes: "\1", which format_column replaces with its text.
+# A cell that the encoder writes: "\1", which format_column replaces with its text.
 _GAP = np.array(b"\1", "S8").view(np.uint64)
 
 
@@ -179,13 +186,18 @@ def _times_power_of_ten(a, i):
     return hi, a_hi * p_hi - hi + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo
 
 
-def format_column(x, fallback) -> str:
-    """ITEM_SEPARATOR.join(map(repr, x)) for a 1-D float64 array, in numpy.
+def _encoded(values) -> str:
+    """The C encoder's text of the floats of a numpy array, joined by ITEM_SEPARATOR."""
+    return _ENCODER.encode(values.tolist())[1:-1]
 
-    numpy writes 0.0, -0.0 and 1e-6 < |x| < 1e16 apart from powers of two.
-    fallback(values) returns the text of the other cells (NaN, inf, the
-    rest), joined by ITEM_SEPARATOR, and each is put in its place; a block
-    with no cell in that band is fallback's text alone.
+
+def format_column(x) -> str:
+    """ITEM_SEPARATOR.join(map(repr, x)) for a 1-D float64 array, NaN and inf as json writes them.
+
+    A block of _NUMPY_FLOATS floats or more with a cell in numpy's band is
+    written in numpy; any other block is the C encoder's text. numpy writes
+    0.0, -0.0 and 1e-6 < |x| < 1e16 apart from powers of two; the encoder
+    writes the other cells (NaN, inf, the rest), each put in its place.
 
     Each in-band x has y = x * 10**(16 - e) in [1e16, 1e17), made exact as
     n + f. The 17-, 16- and 15-digit candidates round y half-even to a
@@ -199,11 +211,13 @@ def format_column(x, fallback) -> str:
     17-digit one always reads back. y never rounds up to 1e17: 10**(e + 1)
     would then read back as x, and fl(10**k) < 10**k only for k = -6.
     """
+    if len(x) < _NUMPY_FLOATS:
+        return _encoded(x)
     a = np.abs(x)
     # fl(1e-6) is below 1e-6, so the band starts above it. NaN compares false.
     band = (a > 1e-6) & (a < 1e16) & (a.view(np.int64) & (2**52 - 1) != 0)
     if not band.any():
-        return fallback(x)
+        return _encoded(x)
     safe = np.where(band, a, 1.5)
     i = np.clip(np.floor(np.log10(safe)).astype(np.intp), _LOW, _HIGH) - _LOW  # e - _LOW
     hi, lo = _times_power_of_ten(safe, i)
@@ -238,7 +252,7 @@ def format_column(x, fallback) -> str:
     down = r - h_whole < ahead
     up = 100.0 - h_whole - r < behind
     digits = np.where(down | up, n - r100 + 100 * up, digits)
-    digits *= band  # zero and the cells that fallback writes: 0.0
+    digits *= band  # zero and the cells that the encoder writes: 0.0
     # Chunks of three digits from 18: the 17 and a padding zero.
     top = digits // 10**8
     nines = np.array([top, (digits - top * 10**8) * 10], np.int32)
@@ -252,7 +266,7 @@ def format_column(x, fallback) -> str:
     cells = np.empty(x.size, _ITEM)
     cells["chunks"] = _CHUNKS.take(_LAYOUTS.take(p * (_HIGH - _LOW + 1) + i, axis=1) + chunks).T
     i *= 2
-    cells["prefix"] = _ITEM_PREFIXES.take(i + np.signbit(x))
+    cells["prefix"] = _PREFIXES.take(i + 2 * (_LOW + _EXP) + np.signbit(x))  # CSV row of e
     i[-1:] += 1
     cells["suffix"] = _ITEM_SUFFIXES.take(i, axis=0)
     rest = np.flatnonzero(~band & (a != 0.0))
@@ -261,6 +275,6 @@ def format_column(x, fallback) -> str:
     if rest.size:
         items = [""] * (2 * rest.size + 1)
         items[::2] = text.split("\1")
-        items[1::2] = fallback(x[rest]).split(ITEM_SEPARATOR)
+        items[1::2] = _encoded(x[rest]).split(ITEM_SEPARATOR)
         text = "".join(items)
     return text

@@ -11,10 +11,10 @@ numpy cannot round exactly.
 JSON is one document, {"meta": {subcommand, parameters, version}, "data":
 {name: value}}: each array or list is a column of floats, -0.0 as 0.0, each
 float as repr writes it: the shortest digits that read back as the same
-float. numpy writes the long columns (_csvcells), the C encoder the rest and
-the few cells numpy leaves. meta.parameters echoes each subcommand flag as
-parsed (defaults in, unset optional flags out); a single superdense decode
-adds transmission_time.
+float. _csvcells.format_column writes each block of a column and picks
+numpy or the C encoder for it. meta.parameters echoes each subcommand flag
+as parsed (defaults in, unset optional flags out); a single superdense
+decode adds transmission_time.
 
 Output is written in blocks of BLOCK_ROWS rows: CSV a block of rows at a
 time, JSON each column's floats a block at a time. Nothing is written until
@@ -110,26 +110,13 @@ def _csv_blocks(columns):
         yield _render_csv(block, header=start == 0)
 
 
-_COLUMN_ENCODER = json.JSONEncoder(separators=(_csvcells.ITEM_SEPARATOR, ": "))
-
-# Floats in a numpy block from which _csvcells.format_column writes it faster
-# than the C encoder. Its fixed cost is about 0.1 ms; the two break even near
-# 300 floats of 17 digits, and later for floats with fewer digits.
-_NUMPY_FLOATS = 500
-
-
-def _floats_json(values) -> str:
-    """The C encoder's text of the floats of a numpy array, joined by its item separator."""
-    return _COLUMN_ENCODER.encode(values.tolist())[1:-1]
-
-
 def _document_pieces(document):
     """Yield json.dumps(document, indent=2) + "\n" for run()'s {meta, data} shape in pieces.
 
-    A non-empty list or numpy array in data is a column of BLOCK_ROWS floats
-    a piece, joined by indent=2's item separator: C-encoded, or written by
-    _csvcells.format_column for a numpy block of _NUMPY_FLOATS floats or
-    more. Any other value (a float, a str, an empty column) is json.dumps(value).
+    A non-empty list or numpy array in data is a column of floats, -0.0 as
+    0.0, BLOCK_ROWS floats a piece: each block goes through _columns_json,
+    and _csvcells.format_column writes it. Any other value (a float, a str,
+    an empty column) is json.dumps(value).
     """
     meta = json.dumps(document["meta"], indent=2).replace("\n", "\n  ")
     lead = '{\n  "meta": ' + meta + ',\n  "data": {'
@@ -140,15 +127,9 @@ def _document_pieces(document):
             continue
         lead += "[\n      "
         for start in range(0, len(value), BLOCK_ROWS):
-            block = value[start:start + BLOCK_ROWS]
-            if not isinstance(block, np.ndarray):
-                text = _COLUMN_ENCODER.encode(block)[1:-1]
-            elif len(block) < _NUMPY_FLOATS:
-                text = _COLUMN_ENCODER.encode(_columns_json([("", block)])[""])[1:-1]
-            else:
-                text = _csvcells.format_column(_plus_zero(block), _floats_json)
-            yield lead + text
-            lead = ",\n      "
+            block = _columns_json([(name, value[start:start + BLOCK_ROWS])])[name]
+            yield lead + _csvcells.format_column(block)
+            lead = _csvcells.ITEM_SEPARATOR
         lead = "\n    ]"
     yield lead + ("\n  }" if document["data"] else "}") + "\n}\n"
 
@@ -236,7 +217,7 @@ def _series_columns(series: TimeSeries):
 
 
 def _columns_json(columns):
-    return {name: _plus_zero(values).tolist() for name, values in columns}
+    return {name: _plus_zero(values) for name, values in columns}
 
 
 def _handle_interference(args):

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the domain rule for scalar arguments."""
 
+import sys
+
 import numpy as np
 
 
@@ -50,10 +52,12 @@ _DOMAINS = {
 def _check_domain(value, label, domain="finite", error=DomainError):
     """Raise error(f"{label} must be {domain}, got {v}") unless value lies in domain.
 
-    NaN, +-inf and complex numbers lie in no domain. For an array value, v is
-    its first entry outside.
+    NaN, +-inf and complex numbers lie in no domain, nor does an int past the
+    float range. For an array value, v is its first entry outside.
     """
-    if np.iscomplexobj(value):  # numpy would order it, and Python would raise TypeError
+    if isinstance(value, int):  # numpy refuses an int past 64 bits; judge it as its float
+        inside = np.array(abs(value) <= sys.float_info.max and _DOMAINS[domain](value))
+    elif np.iscomplexobj(value):  # numpy would order it, and Python would raise TypeError
         inside = np.zeros(np.shape(value), dtype=bool)
     else:
         inside = np.isfinite(value) & _DOMAINS[domain](value)

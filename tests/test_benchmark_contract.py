@@ -11,6 +11,7 @@ the tracer, as the benchmark does, and checks what it recorded.
 """
 
 import importlib.util
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -106,3 +107,28 @@ def test_tracer_counts_two_parse_calls_per_command_on_every_pass(capsys):
     capsys.readouterr()
     assert "parse_args" not in vars(cli._parser())
     assert "parse_args" not in vars(cli.build_parser())
+
+
+def test_tracer_counts_one_columns_call_per_json_block(capsys):
+    # _columns_json (the cli.columns layer) runs once per BLOCK_ROWS block of each
+    # JSON data column, short or long, and never for CSV.
+    tracing = load_tracing()
+    commands = [shlex.split(command)[1:] for command in readme_commands()]
+    # 4,097 rows: two blocks per column, the second of one float.
+    long_run = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "40.96",
+                "--dt", "0.01", "--format", "json"]
+    tracer = tracing.Tracer(qubitsim_modules())
+    tracer.install()
+    try:
+        codes = [tracer.op(lambda argv=argv: cli.main(argv)) for argv in commands]
+        readme_calls = tracer.summary()["calls"]["cli.columns"]
+        codes.append(tracer.op(lambda: cli.main(long_run)))
+        long_calls = tracer.summary()["calls"]["cli.columns"] - readme_calls
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert codes == [0] * (len(commands) + 1)
+    # rabi's six columns of 3,001 floats and the single superdense decode's probabilities.
+    assert readme_calls == 7
+    assert len(json.loads(out[out.rindex('{\n  "meta"'):])["data"]["t"]) == 4097
+    assert long_calls == 2 * 6

@@ -826,15 +826,14 @@ _COLUMNS = st.lists(_FLOATS, max_size=20)
                                       max_size=6),
         "version": _TEXT,
     }),
-    # Arrays, as run() passes them; lists of floats, as perfbench/baseline.py does.
     data=st.dictionaries(_TEXT, st.one_of(_COLUMNS.map(np.array), _COLUMNS, _FLOATS, _TEXT),
                          max_size=6),
     block_rows=st.sampled_from([1, 2, 3, 4096]),
 )
 def test_render_json_is_json_dumps_of_the_run_shape(meta, data, block_rows):
-    # An array's -0.0 is written as 0.0; everything else is echoed as json.dumps writes it.
-    shown = {name: [0.0 if x == 0.0 else x for x in value.tolist()]
-             if isinstance(value, np.ndarray) else value for name, value in data.items()}
+    # A column's -0.0 is written as 0.0; everything else is echoed as json.dumps writes it.
+    shown = {name: [0.0 if x == 0.0 else x for x in np.asarray(value, dtype=float).tolist()]
+             if isinstance(value, (list, np.ndarray)) else value for name, value in data.items()}
     expected = json.dumps({"meta": meta, "data": shown}, indent=2) + "\n"
     document = {"meta": meta, "data": data}
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
@@ -876,7 +875,28 @@ def repr_column(values):
 
 
 def numpy_column(values):
-    return _csvcells.format_column(np.array(values, dtype=float), cli._floats_json)
+    """format_column's text of values, numpy writing every block that holds a cell in its band."""
+    with mock.patch.object(_csvcells, "_NUMPY_FLOATS", 0):
+        return _csvcells.format_column(np.array(values, dtype=float))
+
+
+def in_band(values):
+    """Cells that numpy writes in a block it takes: 1e-6 < |x| < 1e16, no power of two."""
+    a = np.abs(np.asarray(values, dtype=float))
+    return (a > 1e-6) & (a < 1e16) & (np.frexp(a)[0] != 0.5)
+
+
+def spy_encoder(monkeypatch):
+    """The lists of floats that _csvcells' C encoder writes from now on."""
+    calls = []
+    encoded = _csvcells._encoded
+
+    def spy(values):
+        calls.append(values.tolist())
+        return encoded(values)
+
+    monkeypatch.setattr(_csvcells, "_encoded", spy)
+    return calls
 
 
 _BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
@@ -900,7 +920,7 @@ class TestJsonFloats:
         assert numpy_column(values) == repr_column(values)
 
     # The band's ends; powers of ten, whose neighbours below log10 rounds up to
-    # them; powers of two, which fallback writes, and their neighbours; ties of
+    # them; powers of two, which the encoder writes, and their neighbours; ties of
     # the 17th digit (0.5 units) and of the 16th (5 units), where both
     # neighbouring 16-digit candidates read back; and cells outside the band.
     POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-6, 17)])
@@ -921,36 +941,24 @@ class TestJsonFloats:
         assert numpy_column([600000000000000.25, 600000000000000.75, 0.1]).split(",\n      ") == [
             "600000000000000.2", "600000000000000.8", "0.1"]
 
-    def test_only_cells_outside_the_band_take_the_fallback(self):
-        calls = []
-
-        def fallback(values):
-            calls.append(values.tolist())
-            return cli._floats_json(values)
-
+    def test_only_cells_outside_the_band_take_the_fallback(self, monkeypatch):
+        calls = spy_encoder(monkeypatch)
         column = np.array([0.1, 0.0, 2e-6, 1e-6, -3e-7, -0.0, 1.5e16, 4.0, 9e15, math.nan,
                            -math.inf, 0.0, 1e-300, 0.75])
-        assert _csvcells.format_column(column, fallback) == repr_column(column.tolist())
+        assert numpy_column(column) == repr_column(column.tolist())
         # Zeros, -0.0 and 0.75 are in numpy's hands; NaN equals no list item, so compare text.
         assert len(calls) == 1
         assert repr_column(calls[0]) == repr_column([1e-6, -3e-7, 1.5e16, 4.0, math.nan,
                                                      -math.inf, 1e-300])
-        # A block with no cell in the band is fallback's text alone.
+        # A block with no cell in the band is the encoder's text alone.
         calls.clear()
         column = np.array([0.0, 0.5, 1e-7, 0.0])
-        assert _csvcells.format_column(column, fallback) == repr_column(column.tolist())
+        assert numpy_column(column) == repr_column(column.tolist())
         assert calls == [column.tolist()]
 
-    @pytest.mark.parametrize("rows", [cli._NUMPY_FLOATS - 1, cli._NUMPY_FLOATS])
+    @pytest.mark.parametrize("rows", [_csvcells._NUMPY_FLOATS - 1, _csvcells._NUMPY_FLOATS])
     def test_numpy_writes_blocks_of_numpy_floats_or_more(self, monkeypatch, rows):
-        calls = []
-        format_column = _csvcells.format_column
-
-        def spy(values, fallback):
-            calls.append(len(values))
-            return format_column(values, fallback)
-
-        monkeypatch.setattr(_csvcells, "format_column", spy)
+        calls = spy_encoder(monkeypatch)
         columns = cli._series_columns(rabi_with_dephasing(1.0, 0.01, 1.0, (rows - 1) * 0.01, 0.01))
         assert len(columns[0][1]) == rows
         document = {"meta": {"subcommand": "rabi", "parameters": {}, "version": "0"},
@@ -959,7 +967,27 @@ class TestJsonFloats:
                  for name, value in document["data"].items()}
         expected = json.dumps({"meta": document["meta"], "data": shown}, indent=2) + "\n"
         assert cli._render_json(document) == expected
-        assert calls == ([rows] * len(columns) if rows >= cli._NUMPY_FLOATS else [])
+        if rows < _csvcells._NUMPY_FLOATS:  # every block takes the encoder
+            assert [len(call) for call in calls] == [rows] * len(columns)
+        else:  # only cells outside numpy's band: all of re_rho01, which is zero
+            assert calls and not any(in_band(call).any() for call in calls)
+            assert sum(map(len, calls)) < rows * len(columns)
+
+    def test_a_document_of_lists_is_written_by_numpy(self, monkeypatch):
+        # The document perfbench/baseline.py times: _columns_json's columns of a run.
+        calls = spy_encoder(monkeypatch)
+        rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        series = dynamics.evolve_lindblad(rho0, dynamics.QubitHamiltonian(epsilon=1.0),
+                                          (dynamics.LindbladChannel.pure_dephasing(0.05),),
+                                          6.0, 0.01)
+        assert len(series.times) > _csvcells._NUMPY_FLOATS
+        document = {"meta": {}, "data": cli._columns_json(cli._series_columns(series))}
+        lists = {name: value.tolist() for name, value in document["data"].items()}
+        assert cli._render_json(document) == json.dumps({"meta": {}, "data": lists},
+                                                        indent=2) + "\n"
+        # numpy writes every in-band cell; p_g and p_e, all 0.5, take the encoder whole.
+        assert not any(in_band(call).any() for call in calls)
+        assert sum(map(len, calls)) < sum(map(len, lists.values()))
 
 
 @pytest.mark.parametrize("value", ["1e300", "1e308", "inf", "-inf", "nan"])

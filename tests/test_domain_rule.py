@@ -127,6 +127,30 @@ def test_value_outside_the_domain_gets_the_one_message(call, label, domain, erro
     assert str(excinfo.value) == f"{label} must be {domain}, got {value}"
 
 
+# Python ints that numpy takes as no 64-bit type: each is judged by the float it converts to,
+# and one past the float range lies in no domain.
+BIG_INTS = {FINITE: {"10**400": 10**400},
+            NON_NEGATIVE: {"10**400": 10**400, "-(2**64)": -(2**64)},
+            POSITIVE: {"10**400": 10**400, "-(2**64)": -(2**64)}}
+# Scalar entry points; superdense_success_probability checks t inside an array of durations.
+SCALAR_ENTRIES = [entry for entry in ENTRIES if entry[0] != "superdense_success_probability.t"]
+
+
+@pytest.mark.parametrize("call, label, domain, error, value", [
+    pytest.param(call, label, domain, error, value, id=f"{name}-{text}")
+    for name, call, label, domain, error in SCALAR_ENTRIES
+    for text, value in BIG_INTS[domain].items()])
+def test_an_int_outside_the_domain_gets_the_one_message(call, label, domain, error, value):
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{label} must be {domain}, got {value}"
+
+
+def test_an_int_past_64_bits_inside_the_domain_is_its_float():
+    assert dephasing_time(2**64) == 0.5 / 2**64
+
+
 STRING_CALLS = [pytest.param(call, id=name) for name, call, _, _, _ in ENTRIES] + [
     pytest.param(lambda v: _superdense_probabilities(0.1, [v]), id="_superdense_probabilities.times"),
 ]
