@@ -126,7 +126,7 @@ class LindbladChannel:
     @classmethod
     def pure_dephasing(cls, delta: float) -> "LindbladChannel":
         """Channel sqrt(delta) sigma_z: random splitting fluctuations at rate delta."""
-        _check_domain(delta, "dephasing rate", "finite and non-negative")
+        delta = _check_domain(delta, "dephasing rate", "finite and non-negative")
         return cls(np.sqrt(delta) * SIGMA_Z)
 
     @property

@@ -50,12 +50,12 @@ _DOMAINS = {
 
 
 def _check_domain(value, label, domain="finite", error=DomainError):
-    """Raise error(f"{label} must be {domain}, got {v}") unless value lies in domain.
+    """Return value if it lies in domain, else raise error(f"{label} must be {domain}, got {v}").
 
-    NaN, +-inf and complex numbers lie in no domain, nor does an int past the
-    float range. For an array value, v is its first entry outside.
+    NaN, +-inf and complex numbers lie in no domain, nor does an int past the float
+    range; one inside is returned as its float. For an array, v is its first entry outside.
     """
-    if isinstance(value, int):  # numpy refuses an int past 64 bits; judge it as its float
+    if isinstance(value, (int, float)):  # Python scalars skip numpy, which refuses big ints
         inside = np.array(abs(value) <= sys.float_info.max and _DOMAINS[domain](value))
     elif np.iscomplexobj(value):  # numpy would order it, and Python would raise TypeError
         inside = np.zeros(np.shape(value), dtype=bool)
@@ -64,3 +64,4 @@ def _check_domain(value, label, domain="finite", error=DomainError):
     if not inside.all():
         bad = value[~inside][0] if np.ndim(value) else value
         raise error(f"{label} must be {domain}, got {bad}")
+    return float(value) if isinstance(value, int) else value

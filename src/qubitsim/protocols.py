@@ -246,33 +246,31 @@ class SuperdenseSweep:
 
 def _channel_factors(delta: float, times) -> np.ndarray:
     """Factor f = e^{-2 delta t} that the channel puts on the sender-side coherences, per t."""
-    _check_domain(delta, "dephasing rate", "finite and non-negative")
-    times = np.asarray(times)
-    # Only real numbers become floats: a complex time stays complex, for the
-    # check to name it, and a string one is refused, not parsed.
-    if times.dtype.kind in "biuf":
-        times = times.astype(float, copy=False)
-    _check_domain(times, "channel duration", "finite and non-negative")
-    return _coherence_decay(delta, times)
+    delta = _check_domain(delta, "dephasing rate", "finite and non-negative")
+    # Durations are judged before they become floats, so that a complex one is named and a
+    # string refused; a scalar before numpy holds it, so that a Python int counts as its float.
+    times = _check_domain(np.asarray(times) if np.ndim(times) else times, "channel duration",
+                          "finite and non-negative")
+    return _coherence_decay(delta, np.asarray(times, dtype=float))
 
 
 def _superdense_probabilities(delta: float, times) -> np.ndarray:
-    """Decode probabilities indexed [duration in times, sent message, outcome]; MESSAGES order.
+    """Probabilities [duration (none for scalar times), sent message, outcome]; MESSAGES order.
 
     Decoding is linear in rho and the channel scales the sender-side
     coherences by f = e^{-2 delta t}, so every row is p(0) + f (p(1) - p(0)),
     with p(f) the decode of the encoded state damped by f.
     """
-    probs = _channel_factors(delta, times)[:, None, None] * (_INTACT - _DEPHASED)
+    probs = _channel_factors(delta, times)[..., None, None] * (_INTACT - _DEPHASED)
     probs += _DEPHASED  # in place, so a long sweep holds one array at a time
     return probs
 
 
 def superdense_success_probability(message: str, delta: float, t: float) -> float:
     """Probability that the message survives dephasing of the sender's qubit for time t."""
-    probs = _superdense_probabilities(delta, [t])
+    probs = _superdense_probabilities(delta, t)
     i = _message_index(message)
-    return float(probs[0, i, i])
+    return float(probs[i, i])
 
 
 def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> SuperdenseSweep:
@@ -282,7 +280,7 @@ def superdense_channel_sweep(delta: float, t_max: float, n_points: int) -> Super
     each encoded state becomes indistinguishable from its partner of equal
     populations once the sender-side coherence is gone.
     """
-    _check_domain(t_max, "t_max", "finite and positive")
+    t_max = _check_domain(t_max, "t_max", "finite and positive")
     _check_points(n_points, DomainError)
     times = np.linspace(0.0, t_max, n_points)
     factors = _channel_factors(delta, times)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from readme_commands import readme_commands
+from readme_commands import README, readme_commands
 
 import qubitsim
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries, rabi_with_dephasing
@@ -226,6 +226,15 @@ class TestDephasingCommand:
         monkeypatch.setattr(cli, "DensityMatrix", recording_state)
         assert run_cli(capsys, self.START_ARGS + ["--rho01-init-re", "0.45825757"])[0] == 0
         assert [m[0, 1] for m in seen] == [0.45825757]
+
+    def test_zero_coherence_is_written_as_zeros(self, capsys):
+        # The CSV cell writer takes log10 of each cell; its exact zeros must not warn.
+        zero = ["--rho01-init-re", "0", "--rho01-init-im", "0"]
+        code, out, err = run_cli(capsys, self.ARGS + zero)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 10001
+        assert all(row[3:] == ["0.00000000"] * 3 for row in rows)
 
     def test_step_guard_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -670,11 +679,35 @@ def test_readme_lists_commands():
     assert len(readme_commands()) >= 7
 
 
+def test_readme_points_limit_is_the_line_the_cli_prints(capsys):
+    text = " ".join(README.read_text().split())
+    line, count = re.search(r"`(error: --points must be at most \d+, got (\d+))`", text).groups()
+    for command, label in [("interference", "--points"), ("ramsey", "n_points")]:
+        argv = shlex.split(next(c for c in readme_commands() if c.split()[1] == command))[1:]
+        argv[argv.index("--points") + 1] = count
+        assert run_cli(capsys, argv) == (2, "", line.replace("--points", label) + "\n")
+
+
+def script_env():
+    """The environment for `python -m qubitsim.cli` on the tested package, warnings as errors."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONWARNINGS"] = "error"
+    return env
+
+
 @pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_exits_0(capsys, command):
-    code, out, err = run_cli(capsys, shlex.split(command)[1:])
-    assert code == 0, err
-    assert out
+    # Each of two calls in one process prints the script's bytes, with empty stderr.
+    argv = shlex.split(command)[1:]
+    script = subprocess.run([sys.executable, "-m", "qubitsim.cli", *argv], capture_output=True,
+                            env=script_env(), timeout=120)
+    assert (script.returncode, script.stderr) == (0, b"")
+    assert script.stdout
+    for _ in range(2):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == script.stdout
 
 
 def test_csv_output_builds_no_json_columns(capsys, monkeypatch):
@@ -860,12 +893,41 @@ def test_render_json_is_json_dumps_of_the_run_shape(meta, data, block_rows):
     ["rabi", "--omega", "1", "--delta", "0", "--epsilon", "1", "--t-max", "1", "--dt", "0.01"],
     ["superdense", "--message", "10", "--delta", "0.25"],
     ["superdense", "--message", "01", "--delta", "0.25", "--t-max", "6", "--points", "11"],
+    # README's rabi command: re_rho01 is all zeros.
+    ["rabi", "--omega", "1", "--delta", "0.001", "--epsilon", "1", "--t-max", "30",
+     "--dt", "0.01"],
+    # 61,501 rows whose coherences fall below 1e-6 after t = 35: numpy writes the
+    # 4,096-row blocks, the encoder the cells outside numpy's band and the last 61 rows.
+    ["dephasing", "--epsilon", "1", "--delta", "0.2", "--t-max", "61.5", "--dt", "0.001"],
+    # Both sides of format_column's 500-float crossover, and a last block of one float.
+    *(["superdense", "--message", "00", "--delta", "0.25", "--t-max", "6", "--points", n]
+      for n in ("499", "500", "4097")),
 ], ids=["interference", "ramsey", "dephasing", "rabi", "rabi-delta-0", "superdense-single",
-        "superdense-sweep"])
+        "superdense-sweep", "rabi-readme", "dephasing-61501", "superdense-499",
+        "superdense-500", "superdense-4097"])
 def test_main_json_is_json_dumps_layout(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
-    assert code == 0, err
+    assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    "superdense --message 00 --delta 0.25 --t-max 6 --points 2",
+    "superdense --message 00 --delta 0.25 --t-max 6 --points 30",
+    "dephasing --epsilon 0.5 --delta 0.25 --t-max 1 --dt 0.1",
+    "ramsey --delta-split 1 --tau-max 1 --points 2",  # holds exact zeros
+])
+def test_small_csv_tables_are_their_json_floats(capsys, command):
+    # Tables of a few cells go through the numpy cell writer too.
+    (code, csv, err), (json_code, text, json_err) = (
+        run_cli(capsys, shlex.split(command) + ["--format", fmt]) for fmt in ("csv", "json"))
+    assert (code, err, json_code, json_err) == (0, "", 0, "")
+    header, *rows = csv.splitlines()
+    data = json.loads(text)["data"]
+    names = header.split(",")
+    assert [len(data[name]) for name in names] == [len(rows)] * len(names)
+    assert rows == [",".join("%#.9g" % (data[name][i] + 0.0) for name in names)
+                    for i in range(len(rows))]
 
 
 def repr_column(values):
@@ -1296,8 +1358,7 @@ class TestStdoutWriteFailure:
         (DEPHASING, 100),  # as `| head -c 100`: fails while the pipe is full
     ])
     def test_reader_leaving_early_names_stdout(self, argv, read, unbuffered):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # the tested package
+        env = script_env()
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen([sys.executable, "-m", "qubitsim.cli", *argv],

@@ -1101,6 +1101,9 @@ class TestEvolutionRecord:
     DRIVEN = (QubitHamiltonian(epsilon=1.0, omega_rabi=0.5, omega0=1.0,
                                drive_mode=DriveMode.FULL_COSINE),
               (LindbladChannel.pure_dephasing(0.02),))
+    # Pure dephasing with amplitude damping, which moves the populations too.
+    DAMPED = (LindbladChannel.pure_dephasing(0.02),
+              LindbladChannel(np.sqrt(0.05) * np.array([[0.0, 1.0], [0.0, 0.0]])))
 
     # A coherence with an imaginary part, so rho10 is not rho01.
     RHO0 = random_density(np.random.default_rng(29))
@@ -1108,9 +1111,15 @@ class TestEvolutionRecord:
     def run(self, generator, n_steps):
         return evolve_lindblad(self.RHO0, *generator, n_steps * self.DT, self.DT)
 
-    @pytest.mark.parametrize("generator", [STATIC, DRIVEN], ids=["static", "full_cosine"])
-    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 8193])
-    def test_columns_are_the_trajectory_columns_bitwise(self, generator, rows):
+    @pytest.mark.parametrize("rows, generator", [
+        *(pytest.param(rows, generator, id=f"{rows}-{kind}")
+          for kind, generator in (("static", STATIC), ("full_cosine", DRIVEN))
+          for rows in (4095, 4096, 4097, 8193)),
+        # 10,000 driven steps cross two _DRIVEN_BATCH edges; 100,000 static steps.
+        pytest.param(10_001, (DRIVEN[0], DAMPED), id="10001-full_cosine-damped"),
+        pytest.param(100_001, (STATIC[0], DAMPED), id="100001-static-damped"),
+    ])
+    def test_columns_are_the_trajectory_columns_bitwise(self, rows, generator):
         series = self.run(generator, rows - 1)
         traj = _integrate_static(self.RHO0.matrix, *generator, self.DT, rows - 1)
         assert len(series) == rows
@@ -1158,7 +1167,7 @@ class TestTimeSeries:
             while root.base is not None:
                 root = root.base
             assert column.flags.c_contiguous and root.nbytes == column.nbytes, name
-            assert not column.flags.writeable, name
+            assert column.flags.owndata and not column.flags.writeable, name
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):
