@@ -1,7 +1,7 @@
 """Float text formatted by numpy: the CLI's CSV cells and its JSON columns.
 
-cli._render_csv sends format_rows every table of numbers, whatever its size,
-for '%#.9g' text. cli._document_pieces sends format_column every block of a
+cli._render_csv sends format_rows every table, whatever its size, for
+'%#.9g' text. cli._document_pieces sends format_column every block of a
 JSON data column, for repr text: Python's shortest digits that read back as
 the same float; short blocks and what numpy cannot write take the C encoder.
 
@@ -12,7 +12,8 @@ zeros where the layout needs them), 3-digit chunks (one of them holds the
 separator). Each word is its text padded with NUL to 4 bytes (a chunk) or
 8 or 16 (the others) and read as one integer; the NULs are dropped from the
 joined cells. The chunk table has two axes of layout, the digits of the chunk
-kept and the position of its "."; CSV keeps all three digits.
+kept and the position of its "."; CSV keeps all three digits. Both writers
+splice the cells that numpy does not write into its text, one at a time.
 """
 
 import json
@@ -125,17 +126,33 @@ for _table in (_CHUNKS, _P10, _POINTS, _PREFIXES, _SUFFIXES, _SPLITS, _LAYOUTS, 
     _table.flags.writeable = False  # every call shares them
 del _table
 _ROWS = 1000 * np.arange(6)[:, None]  # chunk k's rows of _LAST
-# A cell that the encoder writes: "\1", which format_column replaces with its text.
+# A spliced cell's prefix: "\1", which _joined replaces with the cell's text.
 _GAP = np.array(b"\1", "S8").view(np.uint64)
 
 
-def format_rows(table, row) -> str:
-    """Lines of row % cells for each row of a 2-D float table holding no -0.0, each newline-ended.
+def _joined(cells, rest, texts) -> str:
+    """Text of cells, texts in order in place of the cells at rest, whose suffix is a separator."""
+    if not rest.size:
+        return cells.tobytes().translate(None, b"\0").decode("ascii")
+    cells["prefix"][rest], cells["chunks"][rest] = _GAP, 0
+    items = [""] * (2 * rest.size + 1)
+    items[::2] = cells.tobytes().translate(None, b"\0").decode("ascii").split("\1")
+    items[1::2] = texts
+    return "".join(items)
 
-    row is the table's '%#.9g,...' format. A row with a cell that numpy
-    cannot round as % does (NaN, inf, 0 < |x| < 1e-289, |x| >= 1e290, or
-    within 1e-5 of a tie) goes through row % instead.
+
+def format_rows(columns) -> str:
+    """Lines of a table's columns, each newline-ended: '%#.9g' % (x + 0.0) per number, str as is.
+
+    Each column is a float array or a list of str, all of one length. numpy
+    writes every number that it rounds as % does, -0.0 as 0.00000000; the
+    other cells (text, NaN, inf, 0 < |x| < 1e-289, |x| >= 1e290, or within
+    1e-5 of a tie) are written one at a time and spliced in.
     """
+    text = [np.asarray(values).dtype.kind == "U" for values in columns]
+    # NaN holds a text cell's place: numpy writes no NaN.
+    table = np.column_stack([np.full(len(values), np.nan) if is_text else values
+                             for values, is_text in zip(columns, text)])
     rows, cols = table.shape
     x = table.ravel()
     a = np.abs(x)
@@ -157,6 +174,8 @@ def format_rows(table, row) -> str:
     if carry.size:
         nine[carry] = 1e8
         e[carry] += 1
+    rest = np.flatnonzero(~decided)
+    e[rest] = 0  # at e = 0 the suffix is the separator alone
     high = np.floor(nine / 1e3)
     top = np.floor(high / 1e3)
     e += _EXP
@@ -167,13 +186,8 @@ def format_rows(table, row) -> str:
     cells["suffix"] = _SUFFIXES.take(e.reshape(rows, cols) + (np.arange(cols) == cols - 1)).ravel()
     e += x < 0
     cells["prefix"] = _PREFIXES.take(e)
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    if not decided.all():
-        lines = text.split("\n")
-        for r in np.flatnonzero(~decided.reshape(rows, cols).all(axis=1)).tolist():
-            lines[r] = row % tuple(table[r])
-        text = "\n".join(lines)
-    return text
+    return _joined(cells, rest, [columns[k % cols][k // cols] if text[k % cols] else "%#.9g" % x[k]
+                                 for k in rest.tolist()])
 
 
 def _times_power_of_ten(a, i):
@@ -270,11 +284,4 @@ def format_column(x) -> str:
     i[-1:] += 1
     cells["suffix"] = _ITEM_SUFFIXES.take(i, axis=0)
     rest = np.flatnonzero(~band & (a != 0.0))
-    cells["prefix"][rest], cells["chunks"][rest] = _GAP, 0
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    if rest.size:
-        items = [""] * (2 * rest.size + 1)
-        items[::2] = text.split("\1")
-        items[1::2] = _encoded(x[rest]).split(ITEM_SEPARATOR)
-        text = "".join(items)
-    return text
+    return _joined(cells, rest, _encoded(x[rest]).split(ITEM_SEPARATOR))

@@ -6,8 +6,8 @@ common reciprocal time unit chosen by the user. Output is deterministic:
 identical flags produce byte-identical artifacts.
 
 Each CSV cell is exactly '%#.9g' % value, with -0.0 written as 0.00000000;
-numpy formats every table of numbers, and % a row that holds text or that
-numpy cannot round exactly.
+numpy formats every table, and % a cell that numpy cannot round exactly,
+spliced in with the text cells.
 JSON is one document, {"meta": {subcommand, parameters, version}, "data":
 {name: value}}: each array or list is a column of floats, -0.0 as 0.0, each
 float as repr writes it: the shortest digits that read back as the same
@@ -71,11 +71,6 @@ BLOCK_ROWS = 4096
 _NOT_PARAMETERS = ("command", "format", "output", "jobs", "handler")
 
 
-def _plus_zero(values) -> np.ndarray:
-    # -0.0 + 0.0 is 0.0: both formats write a negative zero as 0.0.
-    return np.asarray(values, dtype=float) + 0.0
-
-
 # Rows that the numpy cell writer takes at a time; a larger piece raises a
 # block's peak memory and runs no faster.
 _PIECE_ROWS = 512
@@ -84,22 +79,12 @@ _PIECE_ROWS = 512
 def _render_csv(columns, header=True) -> str:
     """Header (if asked for), then one line per row: '%#.9g' % (value + 0.0) per number, text as is.
 
-    A table of numbers is formatted by numpy (_csvcells), _PIECE_ROWS rows at
-    a time; a table with a text column by one %-format string per row. Both
-    give the same text.
+    _csvcells.format_rows writes the rows, _PIECE_ROWS at a time.
     """
-    cells, formats = [], []
-    for _, values in columns:
-        text = np.asarray(values).dtype.kind == "U"
-        cells.append(values if text else _plus_zero(values))
-        formats.append("%s" if text else "%#.9g")  # 9 significant digits, zeros kept
-    row = ",".join(formats)
     head = ",".join(name for name, _ in columns) + "\n" if header else ""
-    if "%s" in formats:
-        return head + "".join(row % cell + "\n" for cell in zip(*cells))
-    pieces = (np.column_stack([values[start:start + _PIECE_ROWS] for values in cells])
-              for start in range(0, len(cells[0]), _PIECE_ROWS))
-    return head + "".join(_csvcells.format_rows(piece, row) for piece in pieces)
+    return head + "".join(
+        _csvcells.format_rows([values[start:start + _PIECE_ROWS] for _, values in columns])
+        for start in range(0, len(columns[0][1]), _PIECE_ROWS))
 
 
 def _csv_blocks(columns):
@@ -217,7 +202,8 @@ def _series_columns(series: TimeSeries):
 
 
 def _columns_json(columns):
-    return {name: _plus_zero(values) for name, values in columns}
+    # -0.0 + 0.0 is 0.0: JSON writes a negative zero as 0.0.
+    return {name: np.asarray(values, dtype=float) + 0.0 for name, values in columns}
 
 
 def _handle_interference(args):

@@ -208,9 +208,12 @@ def _hamiltonian_parts(h: QubitHamiltonian):
 
 
 def hamiltonian_at(h: QubitHamiltonian, t: float) -> np.ndarray:
-    """Hamiltonian matrix at time t for the configured drive mode; t must be finite."""
+    """Hamiltonian matrix at time t; t and, for FULL_COSINE, omega0 * t must be finite."""
     _check_domain(t, "t")
     static, drive = _hamiltonian_parts(h)
+    if h.drive_mode is not DriveMode.FULL_COSINE:
+        return static
+    _check_domain(float(h.omega0) * float(t), "omega0 * t")  # a numpy scalar would warn
     return static + np.cos(h.omega0 * t) * drive
 
 
@@ -305,13 +308,15 @@ def _step_map_coefficients(static: np.ndarray, drive: np.ndarray, dt: float) -> 
 
 
 def _block_length(n_steps: int) -> int:
-    """Steps per block for a run of n_steps: about sqrt(n_steps).
+    """Steps per block for a run of n_steps: about sqrt(n_steps), at most 255.
 
     Forming a block's products takes one Python-level product per step of
     the block and applying them one per block, so sqrt(n_steps) makes the
-    fewest calls.
+    fewest calls. From 256 steps, numpy's bundled OpenBLAS wakes a second
+    thread to apply a block, which spins on after the run; its first wake-up
+    has stalled a fresh process for about 1 s.
     """
-    return math.isqrt(n_steps - 1) + 1
+    return min(math.isqrt(n_steps - 1) + 1, 255)
 
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
@@ -367,8 +372,8 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
         c_s, c_m, c_e = ([np.cos(h.omega0 * at) ** i for i in range(3)]
                          for at in (t, t + 0.5 * dt, t + dt))
         monomials = np.stack([c_s[i] * c_m[j] * c_e[k] for i, j, k in exponents])
-        # One product per j, of n_blocks rows: small enough that BLAS starts
-        # no threads, which would spin on after the run.
+        # One product per j, of n_blocks <= 64 rows: small enough that BLAS
+        # starts no threads (see _block_length).
         rows = monomials.T.reshape(block, n_blocks, len(exponents))
         maps = (rows @ coef_rows).view(complex).reshape(block, n_blocks, 4, 4)
         prods = _running_products(maps)

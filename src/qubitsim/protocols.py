@@ -85,10 +85,11 @@ def ramsey_population(cfg: RamseyConfig, tau: float) -> float:
     Closed form (1 + e^{-2 delta tau} cos(Delta tau))/2: back-to-back pulses
     (tau = 0) compose to a pi pulse ending in |e>; a full equatorial
     revolution (Delta tau = 2 pi) also returns P_e = 1, a half revolution
-    (Delta tau = pi) returns P_e = 0.
+    (Delta tau = pi) returns P_e = 0. Delta tau must be finite.
     """
     if not (0.0 <= tau <= cfg.tau_max):
         raise DomainError(f"tau = {tau} outside [0, {cfg.tau_max}]")
+    _check_domain(float(cfg.delta_split) * float(tau), "delta_split * tau")
     return float(_ramsey_fringe(cfg, tau)[0])
 
 

@@ -115,26 +115,49 @@ class TestEmitCsv:
     def test_floats_near_one_and_near_ties_are_percent_text(self, values):
         self.assert_cells_are_percent_text(values)
 
-    def test_only_near_ties_go_through_percent(self):
-        calls = []
+    def test_only_near_ties_go_through_percent(self, monkeypatch):
+        spliced = []
+        joined = _csvcells._joined
 
-        class Row(str):
-            def __mod__(self, cells):
-                calls.append(cells)
-                return str.__mod__(self, cells)
+        def spy(cells, rest, texts):
+            spliced.append((rest.tolist(), texts))
+            return joined(cells, rest, texts)
 
+        monkeypatch.setattr(_csvcells, "_joined", spy)
         table = np.full((300, 2), 0.25)
         # Within 1e-5 of a tie of the ninth digit: scaled is 999999999.5 and 398148511.50000006.
         table[7, 1], table[9, 0] = 9.999999995, 3.981485115e-17
-        lines = _csvcells.format_rows(table, Row("%#.9g,%#.9g")).split("\n")
-        assert calls == [(0.25, 9.999999995), (3.981485115e-17, 0.25)]
+        lines = _csvcells.format_rows([table[:, 0], table[:, 1]]).split("\n")
+        # The two cells alone, not the rest of their rows.
+        assert spliced == [([15, 18], ["9.99999999", "3.98148511e-17"])]
         assert lines[7:10] == ["0.250000000,9.99999999", "0.250000000,0.250000000",
                                "3.98148511e-17,0.250000000"]
-        calls.clear()
+        spliced.clear()
         table[7, 1], table[8, 0], table[9, 0] = 9.9999999996, 999999999.7, 0.25  # carries, no tie
-        lines = _csvcells.format_rows(table, Row("%#.9g,%#.9g")).split("\n")
-        assert calls == []
+        lines = _csvcells.format_rows([table[:, 0], table[:, 1]]).split("\n")
+        assert spliced == [([], [])]
         assert lines[7:9] == ["0.250000000,10.0000000", "1.00000000e+09,0.250000000"]
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_text_column_at_any_place(self, at):
+        # 600 rows: two pieces of the numpy writer. Numbers of every kind share rows with text.
+        rng = np.random.default_rng(27)
+        numbers = [rng.normal(scale=10.0 ** rng.integers(-300, 300, 600)) for _ in range(2)]
+        numbers[0][:6] = [-0.0, 9.999999995, math.nan, -math.inf, 1e-310, 0.0]
+        numbers[1][:6] = [3.981485115e-17, -0.0, math.inf, 0.25, math.nan, 1e300]
+        columns = [("a", numbers[0]), ("b", numbers[1])]
+        columns.insert(at, ("text", [f"s{i}" for i in range(600)]))
+        names = [name for name, _ in columns]
+        expected = "".join(",".join("%s" % v if name == "text" else "%#.9g" % (v + 0.0)
+                                    for name, v in zip(names, row)) + "\n"
+                           for row in zip(*(values for _, values in columns)))
+        assert cli._render_csv(columns) == ",".join(names) + "\n" + expected
+
+    def test_negative_zero_beside_spliced_cells(self):
+        # -0.0 is decided by numpy, next to a near-tie, NaN and inf, which are spliced.
+        columns = [(name, np.array([v])) for name, v in
+                   (("z", -0.0), ("tie", 9.999999995), ("nan", math.nan), ("inf", math.inf))]
+        assert cli._render_csv(columns, header=False) == "0.00000000,9.99999999,nan,inf\n"
 
 
 class TestDephasingCommand:

@@ -151,6 +151,21 @@ class TestQubitHamiltonian:
             assert got.dtype == complex
             assert np.array_equal(got, np.array(matrix, dtype=complex))
 
+    @pytest.mark.parametrize("mode", list(DriveMode))
+    def test_overflowing_phase(self, mode):
+        # omega0 * t overflows at t = 1e10 and not at t = 1e8. Only FULL_COSINE's
+        # matrix depends on t; the others do not read the phase.
+        config = QubitHamiltonian(epsilon=1.0, omega_rabi=0.0 if mode is DriveMode.NONE else 1.5,
+                                  omega0=1e300, drive_mode=mode)
+        static, drive = dynamics._hamiltonian_parts(config)
+        assert np.array_equal(hamiltonian_at(config, 1e8), static + np.cos(1e308) * drive)
+        if mode is DriveMode.FULL_COSINE:
+            with pytest.raises(DomainError) as excinfo:
+                hamiltonian_at(config, 1e10)
+            assert str(excinfo.value) == "omega0 * t must be finite, got inf"
+        else:
+            assert np.array_equal(hamiltonian_at(config, 1e10), static)
+
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("mode", list(DriveMode))
     def test_non_finite_time_is_named(self, mode, t):
@@ -598,14 +613,18 @@ class TestBlockedIntegrator:
         want = reference_step_map_loop(rho0, h, chans, dt, n_steps)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("mode", list(DriveMode))
-    @pytest.mark.parametrize("root, n_steps", [
+    @pytest.mark.parametrize("root, n_steps, mode", [
         # Next to the squares 8^2 and 16^2, where the block length steps up
         # from the root: blocks that fill the run exactly, and a short last one.
-        (8, 63), (8, 64), (8, 65), (16, 255), (16, 256), (16, 257),
+        *((root, n, mode) for root, n in [(8, 63), (8, 64), (8, 65), (16, 255), (16, 256),
+                                          (16, 257)] for mode in DriveMode),
+        # Past 255^2 a static run's blocks stay at the cap of 255 steps; a
+        # driven run's hold at most 64, the root of its batch.
+        *((255, n, mode) for n in (65025, 65026)
+          for mode in (DriveMode.NONE, DriveMode.ROTATING_WAVE)),
     ])
-    def test_runs_next_to_the_block_cap(self, mode, root, n_steps):
-        assert dynamics._block_length(n_steps) == root + (n_steps > root * root)
+    def test_runs_next_to_the_block_cap(self, root, n_steps, mode):
+        assert dynamics._block_length(n_steps) == min(root + (n_steps > root * root), 255)
         rng = np.random.default_rng(14)
         h = QubitHamiltonian(
             epsilon=2.0,
@@ -615,10 +634,18 @@ class TestBlockedIntegrator:
         )
         channels = random_channels(rng)
         rho0 = random_density(rng).matrix
-        got = _integrate_static(rho0, h, channels, 0.01, n_steps)
-        want = reference_step_map_loop(rho0, h, channels, 0.01, n_steps)
+        # Long runs span 3 time units: over hundreds, the two loops' rounding
+        # differs by more than 1e-12 on these strong channels.
+        dt = min(0.01, 3.0 / n_steps)
+        got = _integrate_static(rho0, h, channels, dt, n_steps)
+        want = reference_step_map_loop(rho0, h, channels, dt, n_steps)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_block_length_is_capped(self):
+        # The length rises with n: every n past the cap's edge, then powers of two to the limit.
+        steps = [*range(1, 2**16 + 1), *(2**k for k in range(17, 30)), dynamics._MAX_STEPS]
+        assert max(dynamics._block_length(n) for n in steps) == 255
 
     def test_cosine_drive_crosses_map_batches(self, monkeypatch):
         # Batches of 80 maps: three full batches in blocks of 9 steps and a

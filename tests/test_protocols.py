@@ -106,6 +106,15 @@ class TestRamseyPopulation:
         with pytest.raises(DomainError):
             ramsey_population(self.CFG, 101.0)
 
+    def test_overflowing_phase_is_named(self):
+        cfg = RamseyConfig(1e300, 1e300, 2)
+        with pytest.raises(DomainError) as excinfo:
+            ramsey_population(cfg, 1e300)
+        assert str(excinfo.value) == "delta_split * tau must be finite, got inf"
+        # A delay whose phase stays finite keeps the closed form.
+        tau = 1e8
+        assert ramsey_population(cfg, tau) == 0.5 * (1.0 + np.cos(1e300 * tau))
+
     def test_matches_composed_rotations(self):
         cfg = RamseyConfig(delta_split=1.7, tau_max=20.0, n_points=11)
         for tau in np.linspace(0.0, 20.0, 57):
