@@ -13,21 +13,20 @@ populations stay fixed.
 Trajectories are integrated with the classical fixed-step 4th-order scheme
 on vec(rho), where the generator is a 4x4 matrix L(t). Every drive mode has
 H(t) = H0 + cos(omega0 t) H1, so L(t) = L0 + c(t) L1. Because the equation
-is linear, each step is a 4x4 map M[k]: a polynomial in c at the start,
-middle and end of the step, whose twelve 4x4 coefficients are found once per
-run. The integrator advances a block of steps at a time: it forms the
-running products Q[j] = M[j] @ ... @ M[0] of the block's maps and writes all
-the block's samples with one batched product of Q with the sample before the
-block. Whenever L1 vanishes, only the constant coefficient is left, so one
+is linear, each step is a 4x4 map M[k]. The integrator advances a block of
+steps at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of
+the block's maps and writes all the block's samples with one batched
+product of Q with the sample before the block. Whenever L1 vanishes, one
 map P serves every step and one block of powers P^1 .. P^B every block.
-Otherwise a batch of steps gets its maps from one product of its cosine
-monomials with the coefficients, and the running products of the batch's
-blocks are formed in lockstep.
+Otherwise M[k] is a polynomial in c at the start, middle and end of the
+step, fixed by its values at 12 nodes. The 12 node maps are built once per
+run; a batch of steps gets its maps from one product of their Lagrange
+weights with the node maps, and the running products of the batch's blocks
+are formed in lockstep.
 """
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +252,7 @@ def _rk4_step_map(l_start, l_mid, l_end, dt: float) -> np.ndarray:
     """One classical RK4 step of d vec(rho)/dt = L(t) vec(rho) as a 4x4 map.
 
     l_start, l_mid and l_end are the generators at t, t + dt/2 and t + dt;
-    leading axes broadcast, giving one map per step. Given _Polynomial
-    generators, it returns the map as a _Polynomial.
+    leading axes broadcast, giving one map per step.
     """
     eye = np.eye(4, dtype=complex)
     k1 = l_start
@@ -264,47 +262,22 @@ def _rk4_step_map(l_start, l_mid, l_end, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_CONSTANT = (0, 0, 0)
+def _step_maps_at_nodes(static: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step maps (12, 4, 4) of static + c drive at c_s, c_e in {-1, 1} and c_m in {-1, 0, 1}.
 
-
-class _Polynomial(dict):
-    """Matrix polynomial {(i, j, k): coefficient of c_s^i c_m^j c_e^k}, for _rk4_step_map.
-
-    A matrix added to it is its constant term. Each coefficient comes from
-    the array operations, in the order, of an evaluation at fixed cosines.
+    A step's map has degree 1 in its start and end cosines c_s, c_e and degree 2 in its
+    middle one c_m, so it is these 12 maps weighted by _node_weights(c_s, c_m, c_e).
     """
-
-    __array_ufunc__ = None  # ndarray + polynomial defers to __radd__
-
-    def __add__(self, other):
-        out = _Polynomial(self)
-        for key, coef in other.items():
-            out[key] = out[key] + coef if key in out else coef
-        return out
-
-    def __radd__(self, matrix):
-        return _Polynomial({_CONSTANT: matrix}) + self
-
-    def __rmul__(self, scalar):
-        return _Polynomial({key: scalar * coef for key, coef in self.items()})
-
-    def __matmul__(self, other):
-        return sum((_Polynomial({tuple(map(operator.add, key_a, key_b)): a @ b})
-                    for key_a, a in self.items() for key_b, b in other.items()), _Polynomial())
+    nodes = np.meshgrid([-1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, 1.0], indexing="ij")
+    c_s, c_m, c_e = (c.reshape(12, 1, 1) for c in nodes)
+    return _rk4_step_map(static + c_s * drive, static + c_m * drive, static + c_e * drive, dt)
 
 
-def _step_map_coefficients(static: np.ndarray, drive: np.ndarray, dt: float) -> _Polynomial:
-    """RK4 step map for L(t) = static + c(t) drive, as a polynomial in the step's cosines.
-
-    c_s, c_m and c_e are c(t) at the start, middle and end of a step. A zero
-    drive leaves only the constant coefficient; that one is always bitwise
-    _rk4_step_map(static, static, static, dt).
-    """
-    gens = [_Polynomial({_CONSTANT: static}) for _ in range(3)]
-    if drive.any():
-        for gen, power in zip(gens, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-            gen[power] = drive
-    return _rk4_step_map(*gens, dt)
+def _node_weights(c_s, c_m, c_e) -> np.ndarray:
+    """Lagrange weights (n, 12) of the node maps at n steps' cosines; sum |w| <= 1.25 on [-1, 1]."""
+    w_s, w_e = (np.stack([0.5 * (1.0 - c), 0.5 * (1.0 + c)], axis=-1) for c in (c_s, c_e))
+    w_m = np.stack([0.5 * c_m * (c_m - 1.0), 1.0 - c_m * c_m, 0.5 * c_m * (c_m + 1.0)], axis=-1)
+    return (w_s[:, :, None, None] * w_m[:, None, :, None] * w_e[:, None, None, :]).reshape(-1, 12)
 
 
 def _block_length(n_steps: int) -> int:
@@ -351,17 +324,15 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
                   out=out[first + 1 : last + 1].reshape(-1))
 
     h_static, h_drive = _hamiltonian_parts(h)
-    coefs = _step_map_coefficients(_superoperator(h_static, channels),
-                                   _superoperator(h_drive, ()), dt)
-    if len(coefs) == 1:
-        step = coefs[_CONSTANT]
+    static, drive = _superoperator(h_static, channels), _superoperator(h_drive, ())
+    if not drive.any():
+        step = _rk4_step_map(static, static, static, dt)
         powers = _running_products(np.broadcast_to(step, (_block_length(n_steps), 4, 4)))
         for first in range(0, n_steps, powers.shape[0]):
             advance(first, powers)
         return out
     # Real and imaginary parts side by side, so real products form the maps.
-    exponents = list(coefs)
-    coef_rows = np.array([coefs[e] for e in exponents]).reshape(len(exponents), 16).view(float)
+    node_rows = _step_maps_at_nodes(static, drive, dt).reshape(12, 16).view(float)
     for start in range(0, n_steps, _DRIVEN_BATCH):
         n = min(_DRIVEN_BATCH, n_steps - start)
         block = _block_length(n)
@@ -369,14 +340,11 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
         # Step start + b * block + j sits at [j, b]: the lockstep products
         # of all blocks of the batch read one contiguous slice per j.
         t = dt * (start + block * np.arange(n_blocks) + np.arange(block)[:, None]).reshape(-1)
-        c_s, c_m, c_e = ([np.cos(h.omega0 * at) ** i for i in range(3)]
-                         for at in (t, t + 0.5 * dt, t + dt))
-        monomials = np.stack([c_s[i] * c_m[j] * c_e[k] for i, j, k in exponents])
         # One product per j, of n_blocks <= 64 rows: small enough that BLAS
         # starts no threads (see _block_length).
-        rows = monomials.T.reshape(block, n_blocks, len(exponents))
-        maps = (rows @ coef_rows).view(complex).reshape(block, n_blocks, 4, 4)
-        prods = _running_products(maps)
+        rows = _node_weights(*(np.cos(h.omega0 * at) for at in (t, t + 0.5 * dt, t + dt)))
+        maps = (rows.reshape(block, n_blocks, 12) @ node_rows).view(complex)
+        prods = _running_products(maps.reshape(block, n_blocks, 4, 4))
         for b in range(n_blocks):
             advance(start + b * block, prods[:, b])
     return out
@@ -424,7 +392,8 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
         for ok, measure, message in _checks(traj):
             if not ok.all():
                 idx = int(np.argmin(ok))
-                raise NumericalInstabilityError(f"{message.format(measure[idx])} at step {idx}")
+                raise NumericalInstabilityError(
+                    f"{message.format(measure[idx])} at step {idx} (t = {idx * float(dt)!r})")
     # k < 2**53 converts to float exactly, so this is bitwise dt * np.arange(n)
     # without its int64 temporary.
     times = np.arange(n, dtype=float)

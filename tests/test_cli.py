@@ -1112,7 +1112,8 @@ def test_trace_drift_exits_3_naming_the_step(capsys, monkeypatch, fmt):
     monkeypatch.setattr(dynamics, "_integrate_static", drifting)
     argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
             "--format", fmt]
-    assert run_cli(capsys, argv) == (3, "", "error: trace deviated by 1.000e-06 at step 7\n")
+    assert run_cli(capsys, argv) == (
+        3, "", "error: trace deviated by 1.000e-06 at step 7 (t = 0.07)\n")
 
 
 NUMPY_MEMORY_TEXT = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -579,6 +579,28 @@ class TestStepMapIntegrator:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+# 30 examples keep the frozen stage loop under 1 s of the suite.
+@settings(max_examples=30)
+@given(
+    # dt times each of epsilon, omega_rabi and omega0: inside the step guard of 0.1.
+    scaled=st.tuples(*[st.floats(0.0, 0.099)] * 3),
+    dt=st.floats(1e-3, 0.04),  # with channel rates up to 2, inside the guard too
+    n_steps=st.integers(10, 300),
+    n_channels=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cosine_drive_runs_match_stage_loop(scaled, dt, n_steps, n_channels, seed):
+    epsilon, omega_rabi, omega0 = (x / dt for x in scaled)
+    h = QubitHamiltonian(epsilon=epsilon, omega_rabi=omega_rabi, omega0=omega0,
+                         drive_mode=DriveMode.FULL_COSINE)
+    rng = np.random.default_rng(seed)
+    channels = random_channels(rng)[:n_channels]
+    assert dynamics._check_step(h, channels, n_steps * dt, dt) == n_steps
+    rho0 = random_density(rng).matrix
+    got = _integrate_static(rho0, h, channels, dt, n_steps)
+    assert np.max(np.abs(got - reference_stepwise(rho0, h, channels, dt, n_steps))) <= 1e-12
+
+
 class TestBlockedIntegrator:
     """Block propagation against the frozen per-step loop it replaced."""
 
@@ -698,36 +720,53 @@ def test_superoperator_is_bitwise_the_kron_form(h_matrix, operators):
     assert got.tobytes() == frozen_kron_superoperator(h_matrix, channels).tobytes()
 
 
-class TestStepMapCoefficients:
-    """The RK4 step map of L0 + c L1 as twelve constant coefficients of cosine monomials."""
+class TestStepMapsAtNodes:
+    """The RK4 step map of L0 + c L1 as Lagrange weights of its 12 maps at node cosines."""
 
     @staticmethod
     def generators(rng):
         l0, l1 = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
         return l0, l1, rng.uniform(1e-3, 0.1)
 
-    def test_coefficients_sum_to_the_step_map(self):
+    def test_weighted_node_maps_are_the_step_map(self):
+        nodes = list(itertools.product((-1.0, 1.0), (-1.0, 0.0, 1.0), (-1.0, 1.0)))
         rng = np.random.default_rng(17)
         for _ in range(200):
             l0, l1, dt = self.generators(rng)
-            coefs = dynamics._step_map_coefficients(l0, l1, dt)
-            assert sorted(coefs) == sorted(itertools.product(range(2), range(3), range(2)))
+            maps = dynamics._step_maps_at_nodes(l0, l1, dt)
+            assert maps.shape == (12, 4, 4)
             cosines = rng.uniform(-1.0, 1.0, size=3)
-            got = sum(coef * np.prod(cosines ** np.array(powers))
-                      for powers, coef in coefs.items())
+            got = np.tensordot(dynamics._node_weights(*cosines[:, None]), maps, 1)[0]
             want = dynamics._rk4_step_map(*(l0 + c * l1 for c in cosines), dt)
             assert np.max(np.abs(got - want)) <= 1e-14
+        # At each node the weights pick that node's map alone.
+        weights = dynamics._node_weights(*np.array(nodes).T)
+        picked = np.argmax(weights, axis=1)
+        assert sorted(picked) == list(range(12))
+        assert np.array_equal(weights, np.eye(12)[picked])  # -0.0 equals 0.0
+        for node, i in zip(nodes, picked):
+            want = dynamics._rk4_step_map(*(l0 + c * l1 for c in node), dt)
+            assert np.max(np.abs(maps[i] - want)) <= 1e-14
 
-    def test_constant_coefficient_is_bitwise_the_static_map(self):
+    @pytest.mark.parametrize("mode", [DriveMode.NONE, DriveMode.FULL_COSINE])
+    def test_zero_drive_builds_the_static_map_alone(self, monkeypatch, mode):
+        calls = []
+        rk4_step_map = dynamics._rk4_step_map
+
+        def spy(*args):
+            calls.append((args, rk4_step_map(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "_rk4_step_map", spy)
         rng = np.random.default_rng(18)
-        for _ in range(20):
-            l0, l1, dt = self.generators(rng)
-            static = dynamics._rk4_step_map(l0, l0, l0, dt).tobytes()
-            assert dynamics._step_map_coefficients(l0, l1, dt)[(0, 0, 0)].tobytes() == static
-            # A static run pays for the constant coefficient only.
-            alone = dynamics._step_map_coefficients(l0, np.zeros((4, 4), dtype=complex), dt)
-            assert list(alone) == [(0, 0, 0)]
-            assert alone[(0, 0, 0)].tobytes() == static
+        channels = random_channels(rng)
+        h = QubitHamiltonian(epsilon=1.3, omega0=2.1, drive_mode=mode)
+        dynamics._integrate_static(random_density(rng).matrix, h, channels, 0.01, 300)
+        static = dynamics._superoperator(0.5 * h.epsilon * SIGMA_Z, channels)
+        [(args, step)] = calls
+        assert [gen.tobytes() for gen in args[:3]] == [static.tobytes()] * 3
+        assert args[3] == 0.01
+        assert step.tobytes() == rk4_step_map(static, static, static, 0.01).tobytes()
 
 
 @given(
@@ -890,19 +929,27 @@ class TestTrajectoryMonitoring:
         bad = np.array([[0.6 + 0j, 0.0, 0.0, 0.6]])
         with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
-        assert str(excinfo.value) == "trace deviated by 2.000e-01 at step 0"
+        assert str(excinfo.value) == "trace deviated by 2.000e-01 at step 0 (t = 0.0)"
 
     def test_hermiticity_breach_detected(self):
         bad = np.array([[0.5 + 0j, 0.3, 0.1, 0.5]])
         with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
-        assert str(excinfo.value) == "hermiticity deviated by 2.000e-01 at step 0"
+        assert str(excinfo.value) == "hermiticity deviated by 2.000e-01 at step 0 (t = 0.0)"
 
     def test_positivity_breach_detected(self):
         bad = np.array([[0.5 + 0j, 0.6, 0.6, 0.5]])
         with pytest.raises(NumericalInstabilityError) as excinfo:
             _series_from_trajectory(bad, 0.1)
-        assert str(excinfo.value) == "positivity breached (min eigenvalue -1.000e-01) at step 0"
+        assert str(excinfo.value) == ("positivity breached (min eigenvalue -1.000e-01) "
+                                      "at step 0 (t = 0.0)")
+
+    def test_time_of_a_breach_prints_as_a_float(self):
+        # A numpy dt prints like a Python float, not as np.float64(...).
+        traj = np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (5, 1))
+        traj[3, 0] = 0.6
+        with pytest.raises(NumericalInstabilityError, match=r" at step 3 \(t = 0\.75\)$"):
+            _series_from_trajectory(traj, np.float64(0.25))
 
     def test_later_measures_wait_for_earlier_checks(self, monkeypatch):
         # A trace breach is reported before the eigenvalues are computed.
@@ -924,14 +971,16 @@ class TestTrajectoryMonitoring:
     def test_one_nan_row_fails_at_its_step(self, entries, check):
         traj = np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (10, 1))
         traj[6] = entries
-        with pytest.raises(NumericalInstabilityError, match=f"^{check} .* at step 6$"):
+        at = r"at step 6 \(t = 0\.6000000000000001\)"
+        with pytest.raises(NumericalInstabilityError, match=f"^{check} .* {at}$"):
             _series_from_trajectory(traj, 0.1)
 
     def test_nan_minimum_eigenvalue_fails_positivity(self, monkeypatch):
         traj = np.tile(np.array([0.5, 0.25, 0.25, 0.5], dtype=complex), (4, 1))
         lam = np.array([0.25, 0.25, np.nan, 0.25])
         monkeypatch.setattr(dynamics, "_min_eigenvalue_2x2", lambda mats: lam)
-        with pytest.raises(NumericalInstabilityError, match="^positivity .* at step 2$"):
+        with pytest.raises(NumericalInstabilityError,
+                           match=r"^positivity .* at step 2 \(t = 0\.2\)$"):
             _series_from_trajectory(traj, 0.1)
 
     # A miss of a third of a tolerance passes and one of 1.5 or three times it
@@ -950,7 +999,8 @@ class TestTrajectoryMonitoring:
         if within:
             assert len(_series_from_trajectory(traj, 0.1)) == 2
         else:
-            with pytest.raises(NumericalInstabilityError, match=f"^{check} .* at step 1$"):
+            with pytest.raises(NumericalInstabilityError,
+                               match=fr"^{check} .* at step 1 \(t = 0\.1\)$"):
                 _series_from_trajectory(traj, 0.1)
 
     def test_full_cosine_rejects_nan_carrier(self):
@@ -1013,21 +1063,24 @@ class TestBlockedCheck:
         traj[step] = BREACHES[kind]
         want = reference_check(traj)
         assert want.endswith(f" at step {step}")
-        assert self.message(traj) == want
+        assert self.message(traj) == f"{want} (t = {step * 0.1!r})"
 
     def test_trace_breach_in_a_later_block_is_reported_first(self):
         traj = self.healthy(self.N)
         traj[3] = BREACHES["hermiticity"]
         traj[self.ROWS + 7] = BREACHES["positivity"]
-        traj[2 * self.ROWS + 2] = BREACHES["trace"]
-        assert self.message(traj) == reference_check(traj)
-        assert self.message(traj).startswith("trace deviated by 2.000e-01 at step")
+        step = 2 * self.ROWS + 2
+        traj[step] = BREACHES["trace"]
+        assert self.message(traj) == f"{reference_check(traj)} (t = {step * 0.1!r})"
+        assert self.message(traj).startswith(f"trace deviated by 2.000e-01 at step {step} (t = ")
 
     def test_nan_in_the_short_last_block_fails_at_its_step(self):
         traj = self.healthy(self.N)
-        traj[self.N - 3, 1] = complex(0.25, np.nan)
-        traj[self.N - 3, 2] = complex(0.25, np.nan)
-        assert self.message(traj) == f"hermiticity deviated by nan at step {self.N - 3}"
+        step = self.N - 3
+        traj[step, 1] = complex(0.25, np.nan)
+        traj[step, 2] = complex(0.25, np.nan)
+        want = f"hermiticity deviated by nan at step {step} (t = {step * 0.1!r})"
+        assert self.message(traj) == want
 
     def test_healthy_trajectory_is_checked_once_a_block_at_a_time(self, monkeypatch):
         blocks = []
