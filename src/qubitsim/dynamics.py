@@ -11,18 +11,14 @@ channel sqrt(delta) sigma_z it also decays as e^{-2 delta t} while the
 populations stay fixed.
 
 Trajectories are integrated with the classical fixed-step 4th-order scheme
-on vec(rho), where the generator is a 4x4 matrix L(t). Every drive mode has
-H(t) = H0 + cos(omega0 t) H1, so L(t) = L0 + c(t) L1. Because the equation
-is linear, each step is a 4x4 map M[k]. The integrator advances a block of
-steps at a time: it forms the running products Q[j] = M[j] @ ... @ M[0] of
-the block's maps and writes all the block's samples with one batched
-product of Q with the sample before the block. Whenever L1 vanishes, one
-map P serves every step and one block of powers P^1 .. P^B every block.
-Otherwise M[k] is a polynomial in c at the start, middle and end of the
-step, fixed by its values at 12 nodes. The 12 node maps are built once per
-run; a batch of steps gets its maps from one product of their Lagrange
-weights with the node maps, and the running products of the batch's blocks
-are formed in lockstep.
+on vec(rho), where every drive mode's generator is a 4x4 matrix L(t) = L0 +
+c(t) L1 with c(t) = cos(omega0 t). Each step's map M[k] preserves
+Hermiticity, so it runs in float64 on (rho00, Re rho01, Im rho01, rho11).
+The running products Q[j] = M[j] @ ... @ M[0] of a block of maps write the
+block's samples in one batched product with the sample before it. Whenever
+L1 vanishes, one map P serves every step and P^1 .. P^B every block.
+Otherwise M[k] is 12 node maps, built once per run, weighted by Lagrange
+weights in c at the start, middle and end of the step.
 """
 
 import enum
@@ -41,7 +37,7 @@ from .qstate import (
     TRACE_TOL,
     DensityMatrix,
     _as_density,
-    _min_eigenvalue_2x2,
+    _min_eigenvalue_rows,
     _readonly,
 )
 
@@ -49,8 +45,8 @@ SIGMA_X = _readonly(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Z = _readonly(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 _STEP_RESOLUTION = 0.1  # dt * (fastest angular frequency or rate) must stay below this
-# The trajectory alone takes 64 bytes (four complex entries) per step, so a
-# run of this many steps already needs 64 GB.
+# The trajectory alone takes 32 bytes (four float64 entries) per step, so a
+# run of this many steps already needs 32 GB.
 _MAX_STEPS = 10**9
 
 # Driven step maps are built this many at a time, so memory stays bounded
@@ -59,6 +55,10 @@ _DRIVEN_BATCH = 4096
 
 # Trajectory samples are checked this many at a time.
 _CHECK_ROWS = 4096
+
+# T takes row-major vec(rho) to (rho00, Re rho01, Im rho01, rho11); _FROM_REAL is T^-1.
+_TO_REAL = _readonly(np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0], [0, 0, 0, 1]]))
+_FROM_REAL = _readonly(np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, 1]]))
 
 
 def _coherence_decay(delta, t):
@@ -171,11 +171,10 @@ class TimeSeries:
     def _checked(cls, times, p_g, p_e, rho01) -> "TimeSeries":
         """Record of columns that their maker has already checked, without __post_init__'s scan.
 
-        For evolve_lindblad's record: its times are k * dt by construction,
-        so uniform and increasing, and its columns are finite because no NaN
-        or inf passes the trajectory's trace and hermiticity checks. The
-        arrays must have the column dtypes and equal lengths. They are made
-        read-only in place and held, not copied, so the caller must own them.
+        For evolve_lindblad's record: its times are k * dt, so uniform and increasing,
+        and no NaN or inf sample passes the trace and positivity checks. The arrays must
+        have the column dtypes and equal lengths. They are made read-only in place and
+        held, not copied, so the caller must own them.
         """
         series = object.__new__(cls)
         for name, column in (("times", times), ("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
@@ -299,23 +298,33 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
     but it puts the rounding error of its longest product into every block
     alike, and over 1e5 steps that error adds up to more than 1e-12.
     """
-    prods = np.empty(maps.shape, dtype=complex)
+    prods = np.empty(maps.shape)
     prods[0] = maps[0]
     for j in range(1, maps.shape[0]):
         np.matmul(maps[j], prods[j - 1], out=prods[j])
     return prods
 
 
+def _real_step_maps(maps: np.ndarray, dt: float) -> np.ndarray:
+    """T M T^-1 of step maps M (..., 4, 4); an imaginary residue past tolerance fails at step 1."""
+    maps = _TO_REAL @ maps @ _FROM_REAL
+    residue = np.abs(maps.imag).max()
+    if not residue <= HERMITICITY_TOL:
+        raise NumericalInstabilityError(
+            f"hermiticity deviated by {residue:.3e} at step 1 (t = {float(dt)!r})")
+    return maps.real
+
+
 def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float, n_steps: int):
-    """Trajectory of vec(rho0) under the step maps of every drive mode, one row per sample.
+    """Trajectory (n_steps + 1, 4) of rho0 as rows (rho00, Re rho01, Im rho01, rho11).
 
     Each block of rows is one product of the block's running step maps,
     stacked into a (4 m) x 4 matrix, with the row before the block; numpy
     does that faster than m separate 4x4 products. The name predates the
     driven case; tests and the benchmark tracer reach the integrator by it.
     """
-    out = np.empty((n_steps + 1, 4), dtype=complex)
-    out[0] = rho0.reshape(4)
+    out = np.empty((n_steps + 1, 4))
+    out[0] = rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, rho0[1, 1].real
 
     def advance(first, prods):
         # The last block's products may run past n_steps; only the rows needed are used.
@@ -326,13 +335,12 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
     h_static, h_drive = _hamiltonian_parts(h)
     static, drive = _superoperator(h_static, channels), _superoperator(h_drive, ())
     if not drive.any():
-        step = _rk4_step_map(static, static, static, dt)
+        step = _real_step_maps(_rk4_step_map(static, static, static, dt), dt)
         powers = _running_products(np.broadcast_to(step, (_block_length(n_steps), 4, 4)))
         for first in range(0, n_steps, powers.shape[0]):
             advance(first, powers)
         return out
-    # Real and imaginary parts side by side, so real products form the maps.
-    node_rows = _step_maps_at_nodes(static, drive, dt).reshape(12, 16).view(float)
+    node_rows = _real_step_maps(_step_maps_at_nodes(static, drive, dt), dt).reshape(12, 16)
     for start in range(0, n_steps, _DRIVEN_BATCH):
         n = min(_DRIVEN_BATCH, n_steps - start)
         block = _block_length(n)
@@ -343,7 +351,7 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
         # One product per j, of n_blocks <= 64 rows: small enough that BLAS
         # starts no threads (see _block_length).
         rows = _node_weights(*(np.cos(h.omega0 * at) for at in (t, t + 0.5 * dt, t + dt)))
-        maps = (rows.reshape(block, n_blocks, 12) @ node_rows).view(complex)
+        maps = rows.reshape(block, n_blocks, 12) @ node_rows
         prods = _running_products(maps.reshape(block, n_blocks, 4, 4))
         for b in range(n_blocks):
             advance(start + b * block, prods[:, b])
@@ -351,35 +359,25 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
 
 
 def _checks(rows: np.ndarray):
-    """(ok, measure, message) of the trace, hermiticity and positivity checks, in that order.
+    """(ok, measure, message) of the trace and positivity checks, in that order.
 
-    Each measure is computed only when its check is reached. ok asks whether
-    a sample is within tolerance, so that a NaN sample, which compares False
-    with everything, fails.
+    Each measure is computed only when its check is reached. ok asks whether a sample is
+    within tolerance, so that a NaN sample, which compares False with everything, fails.
     """
     trace_err = np.abs(rows[:, 0] + rows[:, 3] - 1.0)
     yield trace_err <= TRACE_TOL, trace_err, "trace deviated by {:.3e}"
-    herm_err = np.maximum(
-        np.abs(rows[:, 1] - np.conj(rows[:, 2])),
-        2.0 * np.maximum(np.abs(rows[:, 0].imag), np.abs(rows[:, 3].imag)),
-    )
-    yield herm_err <= HERMITICITY_TOL, herm_err, "hermiticity deviated by {:.3e}"
-    lam_min = _min_eigenvalue_2x2(rows.reshape(-1, 2, 2))
+    lam_min = _min_eigenvalue_rows(rows)
     yield lam_min >= POSITIVITY_FLOOR, lam_min, "positivity breached (min eigenvalue {:.3e})"
 
 
 def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
-    """Validate every sample against the trajectory tolerances, then record it.
+    """Validate every sample of a trajectory from _integrate_static, then record it.
 
     The checks run a block of _CHECK_ROWS rows at a time. A block with a
     breach sends the search to the whole trajectory, so the first check to
     fail is reported at its first failing step. A block that passes has its
     columns copied out while it is still in cache, so the record does not
     keep the whole trajectory alive and the trajectory is read once.
-
-    The record skips TimeSeries' own scan: its times are k * dt by
-    construction, and its columns are finite because no NaN or inf sample
-    passes the trace and hermiticity checks.
     """
     n = traj.shape[0]
     p_g, p_e, rho01 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
@@ -387,7 +385,8 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
         block = slice(first, first + _CHECK_ROWS)
         rows = traj[block]
         if all(ok.all() for ok, _, _ in _checks(rows)):
-            p_g[block], p_e[block], rho01[block] = rows[:, 0].real, rows[:, 3].real, rows[:, 1]
+            p_g[block], p_e[block] = rows[:, 0], rows[:, 3]
+            rho01.view(float).reshape(n, 2)[block] = rows[:, 1:3]
             continue
         for ok, measure, message in _checks(traj):
             if not ok.all():
@@ -421,8 +420,8 @@ def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float
     -------
     TimeSeries
         Samples at 0, dt, 2*dt, ..., with t_max rounded to a whole number
-        of steps. Every sample is checked for trace, hermiticity, and
-        positivity; a breach raises NumericalInstabilityError.
+        of steps. Every sample is checked for trace and positivity, and the
+        step map for hermiticity; a breach raises NumericalInstabilityError.
     """
     rho0 = _as_density(rho0)
     if rho0.dim != 2:

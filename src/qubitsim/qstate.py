@@ -147,6 +147,12 @@ def _min_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + np.abs(offdiag) ** 2)
 
 
+def _min_eigenvalue_rows(rows: np.ndarray) -> np.ndarray:
+    """Closed-form smallest eigenvalue of each state row (rho00, Re rho01, Im rho01, rho11)."""
+    a, x, y, b = rows.T
+    return 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + (x * x + y * y))
+
+
 def _as_density(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 

@@ -1105,7 +1105,8 @@ def test_subnormal_rabi_drive_exits_2(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trace_drift_exits_3_naming_the_step(capsys, monkeypatch, fmt):
     def drifting(rho0, h, channels, dt, n_steps):
-        traj = np.tile(rho0.reshape(4), (n_steps + 1, 1))
+        start = [rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, rho0[1, 1].real]
+        traj = np.tile(start, (n_steps + 1, 1))
         traj[7:, 0] += 1e-6  # the trace leaves its tolerance at step 7
         return traj
 
@@ -1114,6 +1115,38 @@ def test_trace_drift_exits_3_naming_the_step(capsys, monkeypatch, fmt):
             "--format", fmt]
     assert run_cli(capsys, argv) == (
         3, "", "error: trace deviated by 1.000e-06 at step 7 (t = 0.07)\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_channel_phase_leaves_the_run_alone(capsys, monkeypatch, fmt):
+    # e^{i phi} sqrt(delta) sigma_z is the same channel as sqrt(delta) sigma_z;
+    # a generator that left the conjugate off a factor would break Hermiticity.
+    argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
+            "--rho01-init-re", "0.3", "--rho01-init-im", "0.3", "--format", fmt]
+    code, plain, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    pure_dephasing = dynamics.LindbladChannel.pure_dephasing.__func__
+    monkeypatch.setattr(dynamics.LindbladChannel, "pure_dephasing", classmethod(
+        lambda cls, delta: cls(np.exp(0.25j * np.pi) * pure_dephasing(cls, delta).operator)))
+    code, phased, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    numbers = [np.array(re.findall(r"-?\d\.\d+(?:e[-+]\d+)?", text), dtype=float)
+               for text in (plain, phased)]
+    assert numbers[0].size > 400 and numbers[0].shape == numbers[1].shape
+    assert np.max(np.abs(numbers[0] - numbers[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_step_map_hermiticity_breach_exits_3_at_step_1(capsys, monkeypatch, fmt):
+    rk4_step_map = dynamics._rk4_step_map
+    monkeypatch.setattr(dynamics, "_rk4_step_map",
+                        lambda *args: rk4_step_map(*args) + 1e-7j * np.eye(4))
+    argv = ["dephasing", "--epsilon", "1", "--delta", "0.25", "--t-max", "1", "--dt", "0.01",
+            "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: hermiticity deviated by 1\.000e-07 at step 1 \(t = 0\.01\)\n",
+                        err)
 
 
 NUMPY_MEMORY_TEXT = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
