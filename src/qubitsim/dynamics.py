@@ -14,11 +14,12 @@ Trajectories are integrated with the classical fixed-step 4th-order scheme
 on vec(rho), where every drive mode's generator is a 4x4 matrix L(t) = L0 +
 c(t) L1 with c(t) = cos(omega0 t). Each step's map M[k] preserves
 Hermiticity, so it runs in float64 on (rho00, Re rho01, Im rho01, rho11).
-The running products Q[j] = M[j] @ ... @ M[0] of a block of maps write the
-block's samples in one batched product with the sample before it. Whenever
-L1 vanishes, one map P serves every step and P^1 .. P^B every block.
+Whenever L1 vanishes, one map P serves every step: P^1 .. P^B and the block
+starts, found the same way one level up, write 64 blocks per product.
 Otherwise M[k] is 12 node maps, built once per run, weighted by Lagrange
-weights in c at the start, middle and end of the step.
+weights in c at the start, middle and end of the step, and the running
+products Q[j] = M[j] @ ... @ M[0] of a block of maps write its samples in
+one product with the sample before it.
 """
 
 import enum
@@ -283,10 +284,12 @@ def _block_length(n_steps: int) -> int:
     """Steps per block for a run of n_steps: about sqrt(n_steps), at most 255.
 
     Forming a block's products takes one Python-level product per step of
-    the block and applying them one per block, so sqrt(n_steps) makes the
-    fewest calls. From 256 steps, numpy's bundled OpenBLAS wakes a second
-    thread to apply a block, which spins on after the run; its first wake-up
-    has stalled a fresh process for about 1 s.
+    the block, and a driven batch applies them one product per block, so
+    sqrt(n_steps) makes the fewest calls. Shorter blocks would save a static
+    run calls (see _orbit), but at n_steps^(1/3) steps they part from single
+    steps by more than 1e-12 over 1e5 steps. From 256 steps, numpy's bundled
+    OpenBLAS wakes a second thread to apply a driven block, which spins on
+    after the run; its first wake-up has stalled a fresh process for about 1 s.
     """
     return min(math.isqrt(n_steps - 1) + 1, 255)
 
@@ -315,31 +318,48 @@ def _real_step_maps(maps: np.ndarray, dt: float) -> np.ndarray:
     return maps.real
 
 
+def _orbit(step: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill rows 1 .. n of out (n + 1, 4) with step^k @ out[0], and return out.
+
+    Baby steps P^1 .. P^B of P = step, B = _block_length(n), are running
+    products; giant steps, the block starts (P^B)^k @ out[0], are the orbit
+    of P^B one level up (M. S. Paterson and L. J. Stockmeyer, SIAM J.
+    Comput. 2, 60 (1973)). 64 starts times the 4 x 4B powers write 64 full
+    blocks in one product; 129 starts of 255-step blocks would wake a
+    second OpenBLAS thread, as a driven block of 256 steps does.
+    """
+    n = out.shape[0] - 1
+    if n == 0:
+        return out
+    block = _block_length(n)
+    powers = _running_products(np.broadcast_to(step, (block, 4, 4)))
+    full, rest = divmod(n, block)
+    starts = np.empty((full + (rest > 0), 4))
+    starts[0] = out[0]
+    _orbit(powers[-1], starts)
+    blocks, cols = out[1 : 1 + full * block].reshape(full, 4 * block), powers.reshape(-1, 4).T
+    for c in range(0, full, 64):
+        np.matmul(starts[c : min(c + 64, full)], cols, out=blocks[c : c + 64])
+    if rest:
+        np.matmul(starts[full:], cols[:, : 4 * rest], out=out[1 + full * block :].reshape(1, -1))
+    return out
+
+
 def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float, n_steps: int):
     """Trajectory (n_steps + 1, 4) of rho0 as rows (rho00, Re rho01, Im rho01, rho11).
 
-    Each block of rows is one product of the block's running step maps,
-    stacked into a (4 m) x 4 matrix, with the row before the block; numpy
-    does that faster than m separate 4x4 products. The name predates the
-    driven case; tests and the benchmark tracer reach the integrator by it.
+    A static run is the _orbit of its one step map. A driven run's blocks
+    are each one product of the block's running step maps, stacked into a
+    (4 m) x 4 matrix, with the row before the block; numpy does that faster
+    than m separate 4x4 products. The name predates the driven case; tests
+    and the benchmark tracer reach the integrator by it.
     """
     out = np.empty((n_steps + 1, 4))
     out[0] = rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, rho0[1, 1].real
-
-    def advance(first, prods):
-        # The last block's products may run past n_steps; only the rows needed are used.
-        last = min(first + prods.shape[0], n_steps)
-        np.matmul(prods[: last - first].reshape(-1, 4), out[first],
-                  out=out[first + 1 : last + 1].reshape(-1))
-
     h_static, h_drive = _hamiltonian_parts(h)
     static, drive = _superoperator(h_static, channels), _superoperator(h_drive, ())
     if not drive.any():
-        step = _real_step_maps(_rk4_step_map(static, static, static, dt), dt)
-        powers = _running_products(np.broadcast_to(step, (_block_length(n_steps), 4, 4)))
-        for first in range(0, n_steps, powers.shape[0]):
-            advance(first, powers)
-        return out
+        return _orbit(_real_step_maps(_rk4_step_map(static, static, static, dt), dt), out)
     node_rows = _real_step_maps(_step_maps_at_nodes(static, drive, dt), dt).reshape(12, 16)
     for start in range(0, n_steps, _DRIVEN_BATCH):
         n = min(_DRIVEN_BATCH, n_steps - start)
@@ -354,7 +374,11 @@ def _integrate_static(rho0: np.ndarray, h: QubitHamiltonian, channels, dt: float
         maps = rows.reshape(block, n_blocks, 12) @ node_rows
         prods = _running_products(maps.reshape(block, n_blocks, 4, 4))
         for b in range(n_blocks):
-            advance(start + b * block, prods[:, b])
+            # The last block's products may run past n_steps; only the rows needed are used.
+            first = start + b * block
+            last = min(first + block, n_steps)
+            np.matmul(prods[: last - first, b].reshape(-1, 4), out[first],
+                      out=out[first + 1 : last + 1].reshape(-1))
     return out
 
 

@@ -1,8 +1,12 @@
 """Tests for closed and open single-qubit evolution."""
 
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,8 +652,15 @@ class TestBlockedIntegrator:
         # from the root: blocks that fill the run exactly, and a short last one.
         *((root, n, mode) for root, n in [(8, 63), (8, 64), (8, 65), (16, 255), (16, 256),
                                           (16, 257)] for mode in DriveMode),
-        # Past 255^2 a static run's blocks stay at the cap of 255 steps; a
-        # driven run's hold at most 64, the root of its batch.
+        # The shortest runs: one block of one or two steps, and a short last block.
+        *((1, n, mode) for n in (1, 2, 3) for mode in DriveMode),
+        # Static runs at the 64 starts of one product: 64 full blocks, 64 and a
+        # short last one, 65 (a second product of one start) and 129 (three).
+        *((root, n, DriveMode.NONE) for root, n in [(64, 4096), (64, 4161), (65, 4225),
+                                                      (129, 16641)]),
+        # Past 255^2 a static run's blocks stay at the cap of 255 steps, and
+        # its block starts recurse four levels (254, 15, 3 and 1 steps); a
+        # driven run's blocks hold at most 64 steps, the root of its batch.
         *((255, n, mode) for n in (65025, 65026)
           for mode in (DriveMode.NONE, DriveMode.ROTATING_WAVE)),
     ])
@@ -702,6 +713,51 @@ class TestBlockedIntegrator:
         got = as_vec(_integrate_static(rho0, h, channels, 0.01, 10000))
         want = reference_step_map_loop(rho0, h, channels, 0.01, 10000)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# 30 static runs of 1e5 steps and 3 of 1e6 in a fresh interpreter, and the CPU
+# ticks (utime + stime) that every thread but the main one gained over them.
+BLAS_WAKE_SCRIPT = """
+import os
+import time
+
+import qubitsim as qs
+
+
+def worker_ticks():
+    # Read once they stop rising: OpenBLAS threads spin for a while after they start or work.
+    ticks, last = None, -1
+    while ticks != last:
+        time.sleep(0.05)
+        ticks, last = 0, ticks
+        for tid in os.listdir("/proc/self/task"):
+            if int(tid) != os.getpid():
+                with open(f"/proc/self/task/{tid}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+                ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+
+before = worker_ticks()
+h = qs.QubitHamiltonian(epsilon=1.0)
+channels = [qs.LindbladChannel.pure_dephasing(1e-3)]
+for n_steps in [10**5] * 30 + [10**6] * 3:
+    qs.evolve_lindblad([[0.6, 0.3], [0.3, 0.4]], h, channels, 0.01 * n_steps, 0.01)
+print(worker_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")
+def test_static_runs_wake_no_blas_thread():
+    # A product too large for one thread wakes a second OpenBLAS thread, which
+    # spins on after the run (see dynamics._block_length). The thread-count
+    # variables are dropped so that the default thread pool is the one tested.
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(dynamics.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", BLAS_WAKE_SCRIPT], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 5
 
 
 def frozen_kron_superoperator(h_matrix, channels):
