@@ -46,8 +46,8 @@ SIGMA_X = _readonly(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 SIGMA_Z = _readonly(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 
 _STEP_RESOLUTION = 0.1  # dt * (fastest angular frequency or rate) must stay below this
-# The trajectory alone takes 32 bytes (four float64 entries) per step, so a
-# run of this many steps already needs 32 GB.
+# A run takes 40 bytes per step, four float64 trajectory entries that its series
+# views and the time, so a run of this many steps already needs 40 GB.
 _MAX_STEPS = 10**9
 
 # Driven step maps are built this many at a time, so memory stays bounded
@@ -175,7 +175,8 @@ class TimeSeries:
         For evolve_lindblad's record: its times are k * dt, so uniform and increasing,
         and no NaN or inf sample passes the trace and positivity checks. The arrays must
         have the column dtypes and equal lengths. They are made read-only in place and
-        held, not copied, so the caller must own them.
+        held, not copied, so the caller must own them; a column that views the checked
+        rows needs those rows made read-only first.
         """
         series = object.__new__(cls)
         for name, column in (("times", times), ("p_g", p_g), ("p_e", p_e), ("rho01", rho01)):
@@ -399,18 +400,13 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
 
     The checks run a block of _CHECK_ROWS rows at a time. A block with a
     breach sends the search to the whole trajectory, so the first check to
-    fail is reported at its first failing step. A block that passes has its
-    columns copied out while it is still in cache, so the record does not
-    keep the whole trajectory alive and the trajectory is read once.
+    fail is reported at its first failing step. The record views the
+    checked rows: the trajectory is made read-only, and its columns are
+    the series' p_g, rho01 and p_e.
     """
     n = traj.shape[0]
-    p_g, p_e, rho01 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     for first in range(0, n, _CHECK_ROWS):
-        block = slice(first, first + _CHECK_ROWS)
-        rows = traj[block]
-        if all(ok.all() for ok, _, _ in _checks(rows)):
-            p_g[block], p_e[block] = rows[:, 0], rows[:, 3]
-            rho01.view(float).reshape(n, 2)[block] = rows[:, 1:3]
+        if all(ok.all() for ok, _, _ in _checks(traj[first : first + _CHECK_ROWS])):
             continue
         for ok, measure, message in _checks(traj):
             if not ok.all():
@@ -421,7 +417,8 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
     # without its int64 temporary.
     times = np.arange(n, dtype=float)
     times *= dt
-    return TimeSeries._checked(times, p_g, p_e, rho01)
+    _readonly(traj)
+    return TimeSeries._checked(times, traj[:, 0], traj[:, 3], traj[:, 1:3].view(complex)[:, 0])
 
 
 def evolve_lindblad(rho0, h: QubitHamiltonian, channels, t_max: float, dt: float) -> TimeSeries:

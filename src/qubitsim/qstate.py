@@ -135,16 +135,13 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
     """
     m = np.asarray(matrix)
     if m.shape == (2, 2):
-        return float(_min_eigenvalue_2x2(m))
+        # Real and imaginary parts are hermitized apart: a complex product would
+        # turn an overflowing coherence into inf + nan j, whose root is NaN.
+        m = m.astype(complex, copy=False)  # an int past 64 bits makes an object array
+        re, im = m.real, m.imag
+        row = np.array([re[0, 0], 0.5 * (re[0, 1] + re[1, 0]), 0.5 * (im[0, 1] - im[1, 0]), re[1, 1]])
+        return float(_min_eigenvalue_rows(row))
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def _min_eigenvalue_2x2(m: np.ndarray) -> np.ndarray:
-    """Closed-form smallest eigenvalue of each hermitized 2x2 matrix in m[..., 2, 2]."""
-    a = m[..., 0, 0].real
-    b = m[..., 1, 1].real
-    offdiag = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0]))
-    return 0.5 * (a + b) - np.sqrt(0.25 * (a - b) ** 2 + np.abs(offdiag) ** 2)
 
 
 def _min_eigenvalue_rows(rows: np.ndarray) -> np.ndarray:

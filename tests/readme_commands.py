@@ -1,7 +1,7 @@
-"""The `qubitsim ...` command lines of README.md, parsed in one place.
+"""The `qubitsim ...` command lines and Python blocks of README.md, parsed in one place.
 
 Standard library only: the tests import it, and so does the CI job that runs
-the commands through the package installed without its test extra.
+them through the package installed without its test extra.
 """
 
 import re
@@ -22,3 +22,8 @@ def readme_commands():
         if "[" in line:
             commands.append(line.replace("[", "").replace("]", ""))
     return commands
+
+
+def readme_python():
+    """The source of every fenced `python` block in README.md."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)

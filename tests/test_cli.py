@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its output formats."""
 
 import argparse
+import ast
 import errno
 import io
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from readme_commands import README, readme_commands
+from readme_commands import README, readme_commands, readme_python
 
 import qubitsim
 from qubitsim import MESSAGES, DensityMatrix, PhotonState, TimeSeries, rabi_with_dephasing
@@ -700,6 +701,21 @@ class TestArgumentParsing:
 
 def test_readme_lists_commands():
     assert len(readme_commands()) >= 7
+
+
+def test_readme_python_gives_the_values_its_comments_state():
+    # Each bare expression is evaluated in turn, as the interactive prompt shows it.
+    values = []
+    for block in readme_python():
+        namespace = {}
+        for statement in ast.parse(block).body:
+            if isinstance(statement, ast.Expr):
+                expression = compile(ast.Expression(statement.value), "README.md", "eval")
+                values.append(eval(expression, namespace))
+            else:
+                exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    # abs(series.rho01[2000]) and qs.dephasing_time(0.25).
+    assert values == [pytest.approx(0.5 * math.exp(-1.0), rel=1e-9), 2.0]
 
 
 def test_readme_points_limit_is_the_line_the_cli_prints(capsys):

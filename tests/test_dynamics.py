@@ -1289,7 +1289,7 @@ class TestDephasingTime:
 
 
 class TestEvolutionRecord:
-    """evolve_lindblad records the trajectory's own columns, checked and copied in one pass."""
+    """evolve_lindblad records the trajectory's own columns: the series views the checked rows."""
 
     DT = 0.01
     STATIC = (QubitHamiltonian(epsilon=1.0), (LindbladChannel.pure_dephasing(0.1),))
@@ -1339,9 +1339,9 @@ class TestEvolutionRecord:
         assert calls == [2]
 
     def test_peak_memory_is_the_trajectory_and_the_record(self):
-        # 32 bytes a sample for the trajectory's four float64 entries, 32 for the
-        # columns and 8 for the times; block-sized temporaries of the check fit
-        # in the 256 KiB.
+        # 32 bytes a sample for the trajectory's four float64 entries, which the
+        # columns view, and 8 for the times; block-sized temporaries of the check
+        # fit in the 256 KiB.
         n_steps = 400_000
         self.run(self.STATIC, 10)
         tracemalloc.start()
@@ -1350,20 +1350,30 @@ class TestEvolutionRecord:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 72 * (n_steps + 1) + 256 * 2**10
+        assert peak <= 40 * (n_steps + 1) + 256 * 2**10
 
 
 class TestTimeSeries:
-    def test_evolution_columns_hold_no_larger_array(self):
+    def test_evolution_columns_view_one_read_only_trajectory(self):
         # 10,001 rows: two blocks of _CHECK_ROWS and a short one.
+        n = 10_001
         series = evolve_lindblad(EQUAL_SUPERPOSITION, QubitHamiltonian(epsilon=1.0),
                                  [LindbladChannel.pure_dephasing(0.1)], 100.0, 0.01)
-        for name in ("times", "p_g", "p_e", "rho01"):
+        roots = []
+        for name in ("p_g", "p_e", "rho01"):
             column = root = getattr(series, name)
             while root.base is not None:
                 root = root.base
-            assert column.flags.c_contiguous and root.nbytes == column.nbytes, name
-            assert column.flags.owndata and not column.flags.writeable, name
+            assert not column.flags.writeable and not root.flags.writeable, name
+            roots.append(root)
+        root = roots[0]
+        assert roots[1] is root and roots[2] is root
+        # The record still holds nothing larger than its data: four float64 a sample.
+        assert root.shape == (n, 4) and root.dtype == np.float64
+        assert root.flags.c_contiguous and root.nbytes == 32 * n
+        times = series.times
+        assert times.flags.owndata and not times.flags.writeable
+        assert times.shape == (n,) and times.nbytes == 8 * n
 
     def test_requires_uniform_grid(self):
         with pytest.raises(ValueError):

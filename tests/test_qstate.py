@@ -23,7 +23,7 @@ from qubitsim import (
     reduced_with_overlap,
     tensor,
 )
-from qubitsim.qstate import _min_eigenvalue_2x2
+from qubitsim.qstate import _min_eigenvalue_rows
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -432,10 +432,21 @@ class TestMinEigenvalue:
         rng = np.random.default_rng(52)
         a = rng.normal(size=(3, 50, 2, 2)) + 1j * rng.normal(size=(3, 50, 2, 2))
         herm = a + np.conj(np.swapaxes(a, -1, -2))
-        lam = _min_eigenvalue_2x2(herm)
-        assert lam.shape == (3, 50)
+        rows = np.stack([herm[..., 0, 0].real, herm[..., 0, 1].real, herm[..., 0, 1].imag,
+                         herm[..., 1, 1].real], axis=-1)
+        lam = _min_eigenvalue_rows(rows.reshape(-1, 4)).reshape(3, 50)
         assert np.allclose(lam, np.linalg.eigvalsh(herm)[..., 0], atol=1e-10)
         assert lam[1, 7] == min_eigenvalue(herm[1, 7])
+
+    @pytest.mark.parametrize("coherence, dtype", [
+        (1e308, float), (1e308, complex), (-1e308, complex), (1e308j, complex),
+    ])
+    def test_overflowing_coherence_gives_minus_infinity(self, coherence, dtype):
+        # Hermitized as a complex number, a real coherence would be inf + nan j
+        # and the root NaN, which no "below the floor" test rejects.
+        m = np.array([[0.5, coherence], [np.conj(coherence), 0.5]], dtype=dtype)
+        with np.errstate(all="ignore"):
+            assert min_eigenvalue(m) == -np.inf
 
 
 # A miss of a third of a tolerance is accepted and one of three times it is
