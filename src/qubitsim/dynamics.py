@@ -23,6 +23,7 @@ one product with the sample before it.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,17 @@ _DRIVEN_BATCH = 4096
 
 # Trajectory samples are checked this many at a time.
 _CHECK_ROWS = 4096
+
+# A block whose trace s = rho00 + rho11 lies within half of TRACE_TOL of 1 and
+# whose determinant rho00 rho11 - |rho01|^2 is at least half of POSITIVITY_FLOOR
+# passes both checks (Sylvester's criterion, with margin): its smallest
+# eigenvalue s/2 - sqrt(s^2/4 - det) is at least min(0, det / s), so at least
+# -5.0000000025e-9, 5e-9 inside the floor. The two bounds keep rho00 and rho11
+# within about [-5e-9, 1 + 5e-9] and |rho01| near 1/2 at most, so rounding moves
+# these figures by about 1e-16.
+_SCREEN_TRACE_LOW = 1.0 - 0.5 * TRACE_TOL
+_SCREEN_TRACE_HIGH = 1.0 + 0.5 * TRACE_TOL
+_SCREEN_MINUS_DET = -0.5 * POSITIVITY_FLOOR
 
 # T takes row-major vec(rho) to (rho00, Re rho01, Im rho01, rho11); _FROM_REAL is T^-1.
 _TO_REAL = _readonly(np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0], [0, 0, 0, 1]]))
@@ -275,10 +287,19 @@ def _step_maps_at_nodes(static: np.ndarray, drive: np.ndarray, dt: float) -> np.
 
 
 def _node_weights(c_s, c_m, c_e) -> np.ndarray:
-    """Lagrange weights (n, 12) of the node maps at n steps' cosines; sum |w| <= 1.25 on [-1, 1]."""
-    w_s, w_e = (np.stack([0.5 * (1.0 - c), 0.5 * (1.0 + c)], axis=-1) for c in (c_s, c_e))
-    w_m = np.stack([0.5 * c_m * (c_m - 1.0), 1.0 - c_m * c_m, 0.5 * c_m * (c_m + 1.0)], axis=-1)
-    return (w_s[:, :, None, None] * w_m[:, None, :, None] * w_e[:, None, None, :]).reshape(-1, 12)
+    """Lagrange weights (n, 12) of the node maps at n steps' cosines; sum |w| <= 1.25 on [-1, 1].
+
+    Column 6 i + 2 j + k is (w_s[i] w_m[j]) w_e[k], each factor a length-n array,
+    so every product runs along n and writes its column in place.
+    """
+    w_s, w_e = ((0.5 * (1.0 - c), 0.5 * (1.0 + c)) for c in (c_s, c_e))
+    w_m = (0.5 * c_m * (c_m - 1.0), 1.0 - c_m * c_m, 0.5 * c_m * (c_m + 1.0))
+    out = np.empty((len(c_s), 12))
+    for col, (s, m) in enumerate(itertools.product(w_s, w_m)):
+        sm = s * m
+        np.multiply(sm, w_e[0], out=out[:, 2 * col])
+        np.multiply(sm, w_e[1], out=out[:, 2 * col + 1])
+    return out
 
 
 def _block_length(n_steps: int) -> int:
@@ -395,10 +416,29 @@ def _checks(rows: np.ndarray):
     yield lam_min >= POSITIVITY_FLOOR, lam_min, "positivity breached (min eigenvalue {:.3e})"
 
 
+def _passes_screen(rows: np.ndarray) -> bool:
+    """True if every row is sure to pass _checks, by the trace range and determinant bound above.
+
+    False says nothing: _checks judges such a block. A NaN or inf makes a
+    comparison False. The determinant waits for the trace, as _checks'
+    eigenvalues do, so the screen warns of an overflow only where they would.
+    """
+    s = rows[:, 0] + rows[:, 3]
+    if not (_SCREEN_TRACE_LOW <= s.min() and s.max() <= _SCREEN_TRACE_HIGH):
+        return False
+    a, x, y, b = rows.T
+    minus_det = x * x
+    minus_det += y * y
+    minus_det -= a * b
+    return bool(minus_det.max() <= _SCREEN_MINUS_DET)
+
+
 def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
     """Validate every sample of a trajectory from _integrate_static, then record it.
 
-    The checks run a block of _CHECK_ROWS rows at a time. A block with a
+    The checks run a block of _CHECK_ROWS rows at a time. _passes_screen
+    decides a healthy block from its trace range and largest minus
+    determinant; _checks judges every other block, and a block with a
     breach sends the search to the whole trajectory, so the first check to
     fail is reported at its first failing step. The record views the
     checked rows: the trajectory is made read-only, and its columns are
@@ -406,7 +446,8 @@ def _series_from_trajectory(traj: np.ndarray, dt: float) -> TimeSeries:
     """
     n = traj.shape[0]
     for first in range(0, n, _CHECK_ROWS):
-        if all(ok.all() for ok, _, _ in _checks(traj[first : first + _CHECK_ROWS])):
+        rows = traj[first : first + _CHECK_ROWS]
+        if _passes_screen(rows) or all(ok.all() for ok, _, _ in _checks(rows)):
             continue
         for ok, measure, message in _checks(traj):
             if not ok.all():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,25 @@ class TestStepMapsAtNodes:
             want = dynamics._rk4_step_map(*(l0 + c * l1 for c in node), dt)
             assert np.max(np.abs(maps[i] - want)) <= 1e-14
 
+    @staticmethod
+    def stacked_node_weights(c_s, c_m, c_e):
+        """The weights as one broadcast product (w_s w_m) w_e of stacked factors."""
+        w_s, w_e = (np.stack([0.5 * (1.0 - c), 0.5 * (1.0 + c)], axis=-1) for c in (c_s, c_e))
+        w_m = np.stack([0.5 * c_m * (c_m - 1.0), 1.0 - c_m * c_m, 0.5 * c_m * (c_m + 1.0)],
+                       axis=-1)
+        product = w_s[:, :, None, None] * w_m[:, None, :, None] * w_e[:, None, None, :]
+        return product.reshape(-1, 12)
+
+    @pytest.mark.parametrize("n", [1, 12, 255, 2200])
+    def test_node_weights_are_bitwise_the_stacked_product(self, n):
+        rng = np.random.default_rng(n)
+        cosines = rng.uniform(-1.0, 1.0, size=(3, n))
+        # Every third cosine is a node value, where weights are exactly 0 or 1.
+        cosines[:, ::3] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=cosines[:, ::3].shape)
+        got = dynamics._node_weights(*cosines)
+        assert got.shape == (n, 12) and got.flags.c_contiguous
+        assert got.tobytes() == self.stacked_node_weights(*cosines).tobytes()
+
     @pytest.mark.parametrize("mode", [DriveMode.NONE, DriveMode.FULL_COSINE])
     def test_zero_drive_builds_the_static_map_alone(self, monkeypatch, mode):
         calls = []
@@ -1034,7 +1054,11 @@ class TestTrajectoryMonitoring:
             _series_from_trajectory(traj, 0.1)
 
     def test_nan_minimum_eigenvalue_fails_positivity(self, monkeypatch):
+        # Step 3 misses the trace by 0.7e-9: the checks accept it and the screen
+        # does not, so the block goes to the checks and their eigenvalues.
         traj = np.tile(np.array([0.5, 0.25, 0.0, 0.5]), (4, 1))
+        traj[3, 0] += 0.7e-9
+        assert reference_check(traj) is None and not dynamics._passes_screen(traj)
         lam = np.array([0.25, 0.25, np.nan, 0.25])
         monkeypatch.setattr(dynamics, "_min_eigenvalue_rows", lambda rows: lam)
         with pytest.raises(NumericalInstabilityError,
@@ -1151,6 +1175,9 @@ def reference_check(traj):
 
 BREACHES = {
     "trace": [0.6, 0.0, 0.0, 0.6],
+    # Below the trace range, next to healthy rows of trace 1: the screen judges
+    # a block by its lowest and highest trace.
+    "low-trace": [0.5 - 2e-9, 0.25, 0.0, 0.5],
     "positivity": [0.5, 0.6, 0.0, 0.5],
     "nan": [np.nan, 0.0, 0.0, 0.5],
     "nan-coherence": [0.5, 0.0, np.nan, 0.5],
@@ -1199,17 +1226,132 @@ class TestBlockedCheck:
 
     def test_healthy_trajectory_is_checked_once_a_block_at_a_time(self, monkeypatch):
         blocks = []
-        eigenvalues = dynamics._min_eigenvalue_rows
+        screen = dynamics._passes_screen
 
         def spy(rows):
             blocks.append(rows.shape[0])
-            return eigenvalues(rows)
+            return screen(rows)
 
-        monkeypatch.setattr(dynamics, "_min_eigenvalue_rows", spy)
+        def refuse(rows):
+            raise AssertionError("eigenvalues computed for a healthy trajectory")
+
+        monkeypatch.setattr(dynamics, "_passes_screen", spy)
+        monkeypatch.setattr(dynamics, "_min_eigenvalue_rows", refuse)
         traj = self.healthy(self.N)
         assert len(_series_from_trajectory(traj, 0.1)) == self.N
         assert blocks == [self.ROWS, self.ROWS, 5]
         assert reference_check(traj) is None
+
+
+def state_row(trace_err, det, theta, phi):
+    """Row (rho00, Re rho01, Im rho01, rho11) of trace 1 + trace_err and determinant det.
+
+    Its eigenvalues lam_min and s - lam_min are turned by theta, its coherence by phi.
+    """
+    s = 1.0 + trace_err
+    lam_min = 0.5 * s - np.sqrt(0.25 * s * s - det)
+    lam_max = s - lam_min
+    c, sn = np.cos(theta), np.sin(theta)
+    r = (lam_max - lam_min) * c * sn
+    return np.array([lam_min * c * c + lam_max * sn * sn, r * np.cos(phi), r * np.sin(phi),
+                     lam_min * sn * sn + lam_max * c * c])
+
+
+def screen_sweep():
+    """About 20,000 rows of trace error in [-2, 2] 1e-9 and determinant in [-2, 2] 1e-8."""
+    rng = np.random.default_rng(41)
+    grid = itertools.product(np.linspace(-2.0, 2.0, 81) * 1e-9, np.linspace(-2.0, 2.0, 81) * 1e-8)
+    return np.array([state_row(e, d, *rng.uniform(0.0, 2 * np.pi, size=2))
+                     for e, d in grid for _ in range(3)])
+
+
+def odd_rows():
+    """Rows of a state that carry one NaN, +-inf or +-1e200 entry."""
+    rows = []
+    for col, value in itertools.product(range(4), (np.nan, np.inf, -np.inf, 1e200, -1e200)):
+        row = np.array([0.5, 0.25, 0.1, 0.5])
+        row[col] = value
+        rows.append(row)
+    return np.array(rows)
+
+
+# Rows that miss the screen's bounds and pass the checks: a trace error of 0.7e-9,
+# or a determinant of -7e-9, whose smallest eigenvalue is about -7e-9.
+BAND = [state_row(0.7e-9, 0.1, 0.3, 0.2), state_row(-0.7e-9, 0.0, 0.4, 1.0),
+        state_row(0.0, -7e-9, 0.5, 2.0), state_row(0.3e-9, -7e-9, 1.2, 4.0)]
+
+
+class TestBlockScreen:
+    """_passes_screen only says yes: every block it passes, the checks pass too."""
+
+    ROWS = dynamics._CHECK_ROWS
+    N = 2 * ROWS + 5
+
+    def test_a_row_the_screen_passes_passes_the_checks(self):
+        rows = screen_sweep()
+        passed = np.array([dynamics._passes_screen(row[None]) for row in rows])
+        for row in rows[passed]:
+            assert reference_check(row[None]) is None
+        refused = rows[~passed]
+        accepted = [reference_check(row[None]) is None for row in refused]
+        # The sweep holds rows of each verdict, and the band between them.
+        assert 3_000 < passed.sum() < 10_000
+        assert 1_000 < sum(accepted) < len(refused)
+        # Well inside both bounds the screen passes every row.
+        a, x, y, b = rows.T
+        inside = (np.abs(a + b - 1.0) <= 0.45e-9) & (a * b - x * x - y * y >= -0.45e-8)
+        assert inside.sum() > 1_000 and passed[inside].all()
+        with np.errstate(all="ignore"):
+            assert not any(dynamics._passes_screen(row[None]) for row in odd_rows())
+
+    def test_injected_rows_give_the_reference_message(self):
+        rng = np.random.default_rng(43)
+        pool = np.concatenate([screen_sweep(), odd_rows(), BAND])
+        for _ in range(60):
+            traj = np.tile(np.array([0.5, 0.25, 0.0, 0.5]), (self.N, 1))
+            steps = rng.choice(self.N, size=rng.integers(1, 6), replace=False)
+            traj[steps] = pool[rng.choice(pool.shape[0], size=steps.size)]
+            with np.errstate(all="ignore"):
+                want = reference_check(traj)
+                if want is None:
+                    assert len(_series_from_trajectory(traj, 0.1)) == self.N
+                    continue
+                with pytest.raises(NumericalInstabilityError) as excinfo:
+                    _series_from_trajectory(traj, 0.1)
+            step = int(want.rsplit(" ", 1)[1])
+            assert str(excinfo.value) == f"{want} (t = {step * 0.1!r})"
+
+    def test_rows_in_the_band_are_checked_a_block_at_a_time(self, monkeypatch):
+        blocks = []
+        checks = dynamics._checks
+
+        def spy(rows):
+            blocks.append(rows.shape[0])
+            return checks(rows)
+
+        monkeypatch.setattr(dynamics, "_checks", spy)
+        traj = np.array([BAND[k % len(BAND)] for k in range(self.N)])
+        assert not any(dynamics._passes_screen(row[None]) for row in traj)
+        assert reference_check(traj) is None
+        assert len(_series_from_trajectory(traj, 0.1)) == self.N
+        assert blocks == [self.ROWS, self.ROWS, 5]
+
+    @pytest.mark.parametrize("row", list(odd_rows()) + [[np.inf, 1.0, 0.0, -np.inf],
+                                                        [np.inf, np.inf, 0.0, 0.5],
+                                                        [1e200, 1e200, 0.0, 1e200]],
+                             ids=repr)
+    def test_screen_warns_only_where_the_checks_warn(self, row):
+        block = np.array([[0.5, 0.25, 0.0, 0.5], row])
+
+        def warned(judge):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                judge(block)
+            return [str(w.message) for w in caught]
+
+        screen = warned(dynamics._passes_screen)
+        checks = warned(lambda rows: all(ok.all() for ok, _, _ in dynamics._checks(rows)))
+        assert set(screen) <= set(checks)
 
 
 class TestAnalyticDephasing:
